@@ -235,7 +235,8 @@ def _report_command(args: argparse.Namespace, runner) -> int:
                        "raw_gaps": err.result.raw_gaps,
                    }}
             _emit_json(doc, args.json)
-        return 3
+        # an exhausted budget is a failed bound, as in extract
+        return 3 if err.result.verdict == "diverged" else 1
 
     quiet = args.json == "-"
     if not quiet:
@@ -426,6 +427,12 @@ def execute(args: argparse.Namespace) -> int:
     if args.radius <= 0 or args.tol <= 0 or args.delta < 0:
         print("error: --radius and --tol must be positive, --delta "
               "nonnegative", file=sys.stderr)
+        return 2
+    if (0.1 * args.radius) ** 2 < sys.float_info.min:
+        # sampled points lie at least 0.1*radius from the origin, and
+        # the closed-form relations divide by their squared norms
+        print(f"error: --radius {args.radius:g} is too small: squared "
+              "norms of sampled points underflow", file=sys.stderr)
         return 2
     if args.n_max < 0:
         print("error: --n-max must be nonnegative", file=sys.stderr)

@@ -17,13 +17,22 @@ x + y0 _|_ lam*x - y0, the Thales-circle configuration), deterministic
 samplers for orthogonal pairs, and an axiom checker that exercises a
 relation on seeded random data and reports witnesses for every
 violation it finds.
+
+Nothing is searched.  The margin min_t ||x + t*y|| - ||x|| has an exact
+finite formula for every supported norm, evaluated on batches of rows.
+For the l1 and linf norms the sampler and the splitter rest on James's
+characterization (Trans. AMS 61, 1947): x _|_ y exactly when some
+norming functional of x, one of dual norm 1 that attains ||x|| at x,
+vanishes on y.  sign(x) is one for l1, sign(x_j)*e_j at an argmax j of
+|x| one for linf, and orthogonal partners of x are drawn from its
+kernel.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -38,7 +47,6 @@ __all__ = [
     "AxiomReport",
     "as_point",
     "norm_eval",
-    "golden_section_min",
     "bj_margin",
     "trivial_relation",
     "inner_product_relation",
@@ -56,11 +64,6 @@ DEFAULT_TOL = 1e-9
 
 _NORM_KINDS = ("euclidean", "l1", "linf", "weighted")
 _RELATION_KINDS = ("trivial", "inner_product", "birkhoff_james")
-
-# golden-section constants, spelled out so the search has no dependencies
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
-_INV_PHI2 = (3.0 - math.sqrt(5.0)) / 2.0
-
 
 class DimensionMismatchError(ValueError):
     """Vector shapes do not line up with a declared dimension."""
@@ -151,65 +154,73 @@ def norm_eval(spec: NormSpec, x) -> float | np.ndarray:
     return out
 
 
-def golden_section_min(fun: Callable[[float], float], lo: float, hi: float,
-                       *, xtol: float = 1e-12, max_iter: int = 200):
-    """Minimize a scalar function on [lo, hi] by golden-section search.
+def _bj_margins(spec: NormSpec, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """Exact min over t of ||x + t*y|| - ||x|| for paired rows of xs, ys.
 
-    Assumes the function is unimodal on the bracket (convex is enough).
-    Returns ``(x, fun(x))`` for the best point evaluated.
+    Both rows are first scaled to unit norm (the margin is homogeneous
+    in x and invariant under rescaling y), so no intermediate can
+    overflow or underflow.  Then, by norm:
+
+    * euclidean/weighted: the length of the projection of x off y;
+    * l1: the minimand is convex and piecewise linear with breakpoints
+      t = -x_i/y_i, so its minimum is the least value at a breakpoint
+      in [-2, 2] (beyond that ||x + t*y|| >= |t| - 1 > ||x||);
+    * linf: the minimand is the upper envelope of the lines
+      +-(x_i + t*y_i); by Helly's theorem on the line its minimum is the
+      largest, over coordinate pairs i, j, of the value where the two
+      V-shapes cross, |x_i*y_j - x_j*y_i| / (|y_i| + |y_j|), and at
+      least |x_i| wherever y_i = 0.
+
+    Rows with x = 0 or y = 0 get margin 0 by convention.
     """
-    if hi < lo:
-        lo, hi = hi, lo
-    a, b = float(lo), float(hi)
-    h = b - a
-    if h <= xtol:
-        mid = 0.5 * (a + b)
-        return mid, fun(mid)
-    c = a + _INV_PHI2 * h
-    d = a + _INV_PHI * h
-    yc = fun(c)
-    yd = fun(d)
-    for _ in range(max_iter):
-        if h <= xtol:
-            break
-        h *= _INV_PHI
-        if yc < yd:
-            b, d, yd = d, c, yc
-            c = a + _INV_PHI2 * h
-            yc = fun(c)
-        else:
-            a, c, yc = c, d, yd
-            d = a + _INV_PHI * h
-            yd = fun(d)
-    if yc <= yd:
-        return c, yc
-    return d, yd
+    nx = np.atleast_1d(norm_eval(spec, xs))
+    ny = np.atleast_1d(norm_eval(spec, ys))
+    out = np.zeros(nx.shape)
+    live = (nx > 0.0) & (ny > 0.0)
+    if not live.any():
+        return out
+    x = xs[live] / nx[live, None]
+    y = ys[live] / ny[live, None]
+    if spec.kind in ("euclidean", "weighted"):
+        w = 1.0 if spec.kind == "euclidean" else np.asarray(spec.weights)
+        c = np.sum(w * x * y, axis=1)
+        # ||x - c*y|| - 1 = -c^2 / (1 + ||x - c*y||), accurate whether y
+        # is nearly orthogonal or nearly parallel to x
+        r = np.atleast_1d(norm_eval(spec, x - c[:, None] * y))
+        m = -c * c / (1.0 + r)
+    elif spec.kind == "l1":
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = -x / y
+        # y_i = 0 and out-of-bracket breakpoints fall back to t = 0
+        t = np.where(np.abs(t) <= 2.0, t, 0.0)
+        vals = np.sum(np.abs(x[:, None, :] + t[:, :, None] * y[:, None, :]),
+                      axis=2)
+        m = np.min(vals, axis=1) - 1.0
+    else:
+        ay = np.abs(y)
+        num = np.abs(x[:, :, None] * y[:, None, :]
+                     - x[:, None, :] * y[:, :, None])
+        den = ay[:, :, None] + ay[:, None, :]
+        cross = np.divide(num, den, out=np.zeros_like(num), where=den > 0.0)
+        fixed = np.where(ay == 0.0, np.abs(x), 0.0)
+        m = np.maximum(cross.max(axis=(1, 2)), fixed.max(axis=1)) - 1.0
+    out[live] = np.minimum(m, 0.0) * nx[live]
+    return out
 
 
-def bj_margin(spec: NormSpec, x, y, *, xtol: float = 1e-12,
-              max_iter: int = 200) -> float:
+def bj_margin(spec: NormSpec, x, y) -> float:
     """min over t of ||x + t*y|| - ||x|| in the given norm.
 
     Zero exactly when x is Birkhoff-James orthogonal to y, negative
-    otherwise (t = 0 shows the margin can never be positive).  The
-    minimand is convex in t, and the minimizer lies in [-B, B] with
-    B = 2*norm(x)/norm(y): outside that bracket the reverse triangle
-    inequality already forces ||x + t*y|| > ||x||.  Returns 0 by
-    convention when x = 0 or y = 0.
+    otherwise (t = 0 shows the margin can never be positive).  Computed
+    in closed form for every supported norm; returns 0 by convention
+    when x = 0 or y = 0.
     """
     x = as_point(x)
     y = as_point(y)
     if x.shape != y.shape:
         raise DimensionMismatchError("margin arguments differ in dimension")
-    nx = norm_eval(spec, x)
-    ny = norm_eval(spec, y)
-    if nx == 0.0 or ny == 0.0:
-        return 0.0
-    b = 2.0 * nx / max(ny, 5e-324)
-    _, val = golden_section_min(
-        lambda t: norm_eval(spec, x + t * y), -b, b,
-        xtol=xtol * max(1.0, b), max_iter=max_iter)
-    return min(val - nx, 0.0)
+    return float(_bj_margins(spec, x[None, :], y[None, :])[0])
 
 
 @dataclass(frozen=True)
@@ -336,54 +347,31 @@ def _weighted_perp(x: np.ndarray, weights) -> np.ndarray:
     return v / math.sqrt(float(np.sum(w * v * v)))
 
 
-def _bj_margin_grid(spec: NormSpec, xs: np.ndarray, ys: np.ndarray,
-                    n_inner: int = 513) -> np.ndarray:
-    """Coarse vectorized margin estimates for paired rows of xs, ys.
-
-    Scans a fixed t-grid on each pair's bracket; used only for ranking
-    candidates, the accepted value is always recomputed by bj_margin.
-    """
-    nx = np.atleast_1d(norm_eval(spec, xs))
-    ny = np.atleast_1d(norm_eval(spec, ys))
-    b = 2.0 * nx / np.maximum(ny, 1e-300)
-    t = np.linspace(-1.0, 1.0, n_inner)[:, None, None]
-    pts = xs[None, :, :] + (t * b[None, :, None]) * ys[None, :, :]
-    vals = np.min(norm_eval(spec, pts), axis=0) - nx
-    est = np.minimum(vals, 0.0)
-    est[ny == 0.0] = 0.0
-    est[nx == 0.0] = 0.0
-    return est
+def _norming_functional(spec: NormSpec, x: np.ndarray) -> np.ndarray:
+    # a functional of dual norm 1 with phi(x) = ||x|| (l1 or linf)
+    if spec.kind == "l1":
+        return np.sign(x)
+    j = int(np.argmax(np.abs(x)))
+    phi = np.zeros_like(x)
+    phi[j] = np.sign(x[j])
+    return phi
 
 
-def _bj_best_t(rel: OrthoRelation, x: np.ndarray, u: np.ndarray,
-               n_scan: int = 257, good_enough: float | None = None):
-    """Maximize bj_margin(x, u + t*x) over t; return (t, margin).
+def _kernel_part(phi: np.ndarray, u: np.ndarray) -> np.ndarray:
+    # euclidean projection of u onto the kernel of phi
+    return u - (float(u @ phi) / float(phi @ phi)) * phi
 
-    The optimal t for l1/linf norms satisfies |t| <= sqrt(dim)/||x||_2
-    (dual-functional bound), so the scan bracket below covers it with
-    room to spare.  When ``good_enough`` is given, refinement stops as
-    soon as a candidate reaches that margin.
-    """
-    nx2 = math.sqrt(float(x @ x))
-    t_max = 2.0 * (1.0 + math.sqrt(x.size) / nx2)
-    ts = np.linspace(-t_max, t_max, n_scan)
-    cand = u[None, :] + ts[:, None] * x[None, :]
-    est = _bj_margin_grid(rel.norm, np.broadcast_to(x, cand.shape), cand)
-    order = np.argsort(est)[::-1]
-    best_t, best_m = 0.0, -math.inf
-    for idx in order[:12]:
-        m = bj_margin(rel.norm, x, cand[idx])
-        if m > best_m:
-            best_t, best_m = float(ts[idx]), m
-        if good_enough is not None and best_m >= good_enough:
-            return best_t, best_m
-    step = ts[1] - ts[0]
-    t_ref, neg = golden_section_min(
-        lambda t: -bj_margin(rel.norm, x, u + t * x),
-        best_t - step, best_t + step, xtol=1e-12 * max(1.0, t_max))
-    if -neg > best_m:
-        best_t, best_m = t_ref, -neg
-    return best_t, best_m
+
+def _one_sided_slopes(spec: NormSpec, a: np.ndarray, b: np.ndarray):
+    """Left and right derivatives at t = 0 of t -> ||a + t*b|| (l1/linf)."""
+    if spec.kind == "l1":
+        base = float(np.sign(a) @ b)
+        free = float(np.sum(np.abs(b[a == 0.0])))
+        return base - free, base + free
+    aa = np.abs(a)
+    top = aa == aa.max()
+    vals = np.sign(a[top]) * b[top]
+    return float(vals.min()), float(vals.max())
 
 
 def _closed_form_split(rel: OrthoRelation, x: np.ndarray,
@@ -403,14 +391,17 @@ def thalesian_solve(rel: OrthoRelation, x, lam: float) -> np.ndarray:
     """Solve the splitting axiom: y0 with x _|_ y0, x+y0 _|_ lam*x - y0.
 
     Closed form for the trivial, inner-product, and euclidean or
-    weighted Birkhoff-James relations.  For l1/linf Birkhoff-James the
-    solver works inside 2-dimensional slices span{x, u}: it first finds
-    a direction orthogonal to x by maximizing the margin along
-    u + t*x, then scales that direction to make the second pair
-    orthogonal, sweeping fallback seed directions before giving up.
+    weighted Birkhoff-James relations.  For l1/linf Birkhoff-James,
+    y0 = s*y_dir with y_dir in the kernel of a norming functional of x,
+    so x _|_ y0 for every s.  The scale s >= 0 is found by bisection on
+    the signs of the one-sided derivatives at t = 0 of
+    t -> ||(x + s*y_dir) + t*(lam*x - s*y_dir)||: at s = 0 that norm is
+    shortest at t = -1/lam, for large s near t = 1, and the pair is
+    orthogonal where a shortest point sits at t = 0.  Both conditions
+    are rechecked on exact margins.
 
     Raises ThalesianNotFoundError (with the best residuals attached)
-    when no candidate passes, ValueError for x = 0 since the axiom
+    when the recheck fails, ValueError for x = 0 since the axiom
     presumes x spans a direction.
     """
     x = as_point(x)
@@ -434,86 +425,54 @@ def thalesian_solve(rel: OrthoRelation, x, lam: float) -> np.ndarray:
 
 def _bj_split_search(rel: OrthoRelation, x: np.ndarray,
                      lam: float) -> np.ndarray:
-    nx2 = math.sqrt(float(x @ x))
+    # scale-free: y_dir has euclidean length ||x||, and unit_perp sees a
+    # unit vector
     nrm = norm_eval(rel.norm, x)
-    first_tol = rel.tol * (1.0 + nrm)
+    y_dir = _kernel_part(_norming_functional(rel.norm, x),
+                         unit_perp(x / nrm))
+    y_dir *= nrm / math.sqrt(float(y_dir @ y_dir))
 
-    seeds = [unit_perp(x)]
-    for j in range(x.size):
-        e = np.zeros_like(x)
-        e[j] = 1.0
-        v = e - (float(e @ x) / float(x @ x)) * x
-        nv = math.sqrt(float(v @ v))
-        if nv > 1e-12:
-            seeds.append(v / nv)
-    rng = np.random.default_rng(9173)
-    for _ in range(8):
-        v = rng.normal(size=x.size)
-        v -= (float(v @ x) / float(x @ x)) * x
-        nv = math.sqrt(float(v @ v))
-        if nv > 1e-12:
-            seeds.append(v / nv)
+    def side(s: float) -> int:
+        # +1: every minimizer of t -> ||a + t*b|| lies below 0 (s too
+        # small), -1: every minimizer lies above 0 (s too large), 0: a _|_ b
+        down, up = _one_sided_slopes(rel.norm, x + s * y_dir,
+                                     lam * x - s * y_dir)
+        if down > 0.0:
+            return 1
+        if up < 0.0:
+            return -1
+        return 0
 
-    best = {"first_margin": -math.inf, "second_margin": -math.inf,
-            "lam": lam}
-    attempts = 0
-    for u in seeds:
-        if attempts >= 12:
+    # side(0) = +1 and side(s) = -1 for large s, so doubling finds a bracket
+    lo, hi = 0.0, 1.0 + math.sqrt(lam)
+    for _ in range(200):
+        if side(hi) <= 0:
             break
-        t, m1 = _bj_best_t(rel, x, u, good_enough=-0.5 * first_tol)
-        if m1 > best["first_margin"]:
-            best["first_margin"] = m1
-        if m1 < -first_tol:
-            continue
-        attempts += 1
-        y_dir = u + t * x
-        y_dir = y_dir / math.sqrt(float(y_dir @ y_dir))
-        y0, m2 = _bj_scale_search(rel, x, y_dir, lam)
-        if m2 > best["second_margin"]:
-            best["second_margin"] = m2
-        if y0 is not None:
+        lo, hi = hi, 2.0 * hi
+    # the bracket ends keep their sides, so its limit is a root
+    while lo < 0.5 * (lo + hi) < hi:
+        mid = 0.5 * (lo + hi)
+        c = side(mid)
+        if c == 0:
+            lo = hi = mid
+        elif c > 0:
+            lo = mid
+        else:
+            hi = mid
+
+    cands = np.array([hi, lo])[:, None] * y_dir[None, :]
+    lhs = x[None, :] + cands
+    first = _bj_margins(rel.norm, np.array([x, x]), cands)
+    second = _bj_margins(rel.norm, lhs, lam * x[None, :] - cands)
+    first_ok = first >= -rel.tol * (1.0 + nrm)
+    second_ok = second >= -rel.tol * (1.0 + norm_eval(rel.norm, lhs))
+    for y0, ok1, ok2 in zip(cands, first_ok, second_ok):
+        if ok1 and ok2:
             return y0
     raise ThalesianNotFoundError(
-        f"no splitting vector found for lam={lam:g} after {attempts} "
-        "scale searches", best)
-
-
-def _bj_scale_search(rel: OrthoRelation, x: np.ndarray, y_dir: np.ndarray,
-                     lam: float):
-    """Search s >= 0 so that (x + s*y_dir) _|_ (lam*x - s*y_dir)."""
-    nx2 = math.sqrt(float(x @ x))
-    s_hi = 4.0 * (1.0 + math.sqrt(lam)) * nx2 * math.sqrt(x.size)
-    best_margin = -math.inf
-    best_y = None
-    for _round in range(2):
-        ss = np.linspace(0.0, s_hi, 385)
-        lhs = x[None, :] + ss[:, None] * y_dir[None, :]
-        rhs = lam * x[None, :] - ss[:, None] * y_dir[None, :]
-        est = _bj_margin_grid(rel.norm, lhs, rhs)
-        order = np.argsort(est)[::-1]
-        step = ss[1] - ss[0]
-
-        def exact(s: float) -> float:
-            return bj_margin(rel.norm, x + s * y_dir, lam * x - s * y_dir)
-
-        for idx in order[:8]:
-            s0 = float(ss[idx])
-            s_ref, neg = golden_section_min(
-                lambda s: -exact(s), max(s0 - step, 0.0), s0 + step,
-                xtol=1e-12 * max(1.0, s_hi))
-            for s_try in (s_ref, s0):
-                m = exact(s_try)
-                thresh = -rel.tol * (1.0 + norm_eval(rel.norm,
-                                                     x + s_try * y_dir))
-                if m > best_margin:
-                    best_margin = m
-                if m >= thresh:
-                    return x * 0.0 + s_try * y_dir, m
-        # the optimum may sit beyond the bracket when lam is large
-        if np.argmax(est) < len(ss) - 20:
-            break
-        s_hi *= 4.0
-    return None, best_margin
+        f"no splitting vector found for lam={lam:g}",
+        {"first_margin": float(first.max()),
+         "second_margin": float(second.max()), "lam": lam})
 
 
 @dataclass
@@ -736,24 +695,24 @@ def _generate_pair(rel: OrthoRelation, rng: np.random.Generator, dim: int,
                 return x, (radius * rng.uniform(0.1, 1.0) / nv) * v
         raise PairGenerationError("projection degenerated repeatedly")
 
-    # l1/linf Birkhoff-James: aim the partner by margin maximization;
-    # accept only with a margin well inside the predicate tolerance so
-    # that rescaled copies stay orthogonal under the homogeneity axiom
+    # l1/linf Birkhoff-James: x _|_ y exactly when some norming
+    # functional of x vanishes on y (James), so y is drawn from the
+    # kernel of one; accept only with a margin well inside the predicate
+    # tolerance so that rescaled copies stay orthogonal under homogeneity
+    phi = _norming_functional(rel.norm, x)
     best_margin = -math.inf
     accept = -0.05 * rel.tol * (1.0 + norm_eval(rel.norm, x))
     for _ in range(8):
         u = rng.normal(size=dim)
-        u -= (float(u @ x) / float(x @ x)) * x
-        nu = math.sqrt(float(u @ u))
-        if nu <= 1e-12:
+        y = _kernel_part(phi, u)
+        ny = math.sqrt(float(y @ y))
+        if ny <= 1e-12 * math.sqrt(float(u @ u)):
             continue
-        u /= nu
-        t, m = _bj_best_t(rel, x, u, good_enough=0.8 * accept)
+        y *= radius * rng.uniform(0.1, 1.0) / ny
+        m = bj_margin(rel.norm, x, y)
         best_margin = max(best_margin, m)
         if m >= accept:
-            y = u + t * x
-            y /= math.sqrt(float(y @ y))
-            return x, (radius * rng.uniform(0.1, 1.0)) * y
+            return x, y
     raise PairGenerationError(
         f"no Birkhoff-James partner found, best margin {best_margin:.3e}")
 

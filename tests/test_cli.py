@@ -82,6 +82,21 @@ class TestExitCodes:
     def test_cauchy_passes(self):
         assert main(["cauchy", "--delta", "1e-3", *FAST]) == 0
 
+    def test_dim2_l1_report_finds_partners(self):
+        # a seed at which the search-based pair sampler gave up
+        assert main(["report", "--relation", "bj:l1", "--dim", "2",
+                     "--pairs", "24", "--samples", "24", "--delta", "0.001",
+                     "--seed", "42622"]) == 0
+
+    @pytest.mark.parametrize("command", ["report", "extract"])
+    def test_exhausted_budget_is_a_failed_bound(self, command):
+        assert main([command, "--n-max", "0", "--delta", "0.01", *FAST]) == 1
+
+    def test_underflowing_radius_is_usage_error(self, capsys):
+        assert main(["report", "--radius", "1e-300", *FAST]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
 
 class TestSerialization:
     def test_json_structure(self, tmp_path):

@@ -1,7 +1,7 @@
 """Relation-layer tests: norms, margins, predicates, solvers, samplers.
 
 Margin values are checked against an independent dense-grid oracle so
-the golden-section implementation is never trusted to certify itself.
+the closed-form margins are never trusted to certify themselves.
 """
 
 import math
@@ -13,9 +13,9 @@ from hypothesis import strategies as st
 
 from orthostab.orthogonality import (DEFAULT_TOL, DimensionMismatchError,
                                      NormSpec, PairGenerationError,
-                                     ThalesianNotFoundError,
+                                     ThalesianNotFoundError, _bj_margins,
                                      birkhoff_james_relation, bj_margin,
-                                     check_axioms, golden_section_min,
+                                     check_axioms,
                                      inner_product_relation, is_orthogonal,
                                      norm_eval, sample_orthogonal_pairs,
                                      symmetrize_relation, thalesian_solve,
@@ -46,6 +46,22 @@ def margin_oracle(spec, x, y, n=20001, rounds=4):
     return min(val - nx, 0.0)
 
 
+def _spec(kind, dim):
+    if kind == "weighted":
+        return NormSpec.weighted(np.linspace(0.5, 2.0, dim))
+    return NormSpec(kind)
+
+
+# coordinates with exact zeros and repeated magnitudes (l1 kinks, linf
+# ties) next to generic values
+_coord = st.one_of(st.integers(-3, 3).map(float), st.floats(0.001, 4.0),
+                   st.floats(-4.0, -0.001))
+_vec_pair = st.integers(2, 5).flatmap(
+    lambda d: st.tuples(st.lists(_coord, min_size=d, max_size=d),
+                        st.lists(_coord, min_size=d, max_size=d)))
+_kinds = st.sampled_from(["euclidean", "l1", "linf", "weighted"])
+
+
 class TestNorms:
     def test_frozen_values(self):
         assert norm_eval(NormSpec.euclidean(), [3.0, 4.0]) == 5.0
@@ -69,25 +85,6 @@ class TestNorms:
             NormSpec.weighted([1.0, -1.0])
         with pytest.raises(ValueError):
             NormSpec("euclidean", weights=(1.0,))
-
-
-class TestGoldenSection:
-    def test_smooth(self):
-        x, v = golden_section_min(lambda t: (t - 2.0) ** 2 + 1.0, -10, 10)
-        # location accuracy on a smooth minimum is sqrt(ulp)-limited;
-        # the minimand VALUE is what the margin computations consume
-        assert abs(x - 2.0) < 1e-6
-        assert abs(v - 1.0) < 1e-15
-
-    def test_kinked(self):
-        # piecewise linear: the l1 minimand looks like this
-        x, v = golden_section_min(lambda t: abs(t - 3.0), 0, 8)
-        assert abs(x - 3.0) < 1e-9
-        assert v < 1e-9
-
-    def test_degenerate_bracket(self):
-        x, v = golden_section_min(lambda t: t * t, 1.0, 1.0)
-        assert x == 1.0 and v == 1.0
 
 
 class TestMargin:
@@ -146,6 +143,54 @@ class TestMargin:
         assert bj_margin(spec, alpha * x, y) == pytest.approx(
             alpha * bj_margin(spec, x, y),
             abs=1e-8 * (1 + alpha * np.linalg.norm(x)))
+
+    @settings(max_examples=150, deadline=None)
+    @given(kind=_kinds, xy=_vec_pair,
+           exponent=st.sampled_from([-100, 0, 100]))
+    def test_exact_margin_below_dense_oracle(self, kind, xy, exponent):
+        x, y = (np.array(v) * 10.0 ** exponent for v in xy)
+        spec = _spec(kind, x.size)
+        got = bj_margin(spec, x, y)
+        assert got <= 0.0
+        assert got <= margin_oracle(spec, x, y) + 1e-12 * norm_eval(spec, x)
+
+    @settings(max_examples=60, deadline=None)
+    @given(kind=_kinds, xy=_vec_pair, ex=st.sampled_from([-100, 0, 100]),
+           ey=st.sampled_from([-100, 0, 100]))
+    def test_margin_scales_with_x_only(self, kind, xy, ex, ey):
+        x, y = (np.array(v) for v in xy)
+        spec = _spec(kind, x.size)
+        want = 10.0 ** ex * bj_margin(spec, x, y)
+        got = bj_margin(spec, 10.0 ** ex * x, 10.0 ** ey * y)
+        assert got == pytest.approx(
+            want, rel=1e-12, abs=1e-12 * 10.0 ** ex * norm_eval(spec, x))
+
+    @settings(max_examples=60, deadline=None)
+    @given(kind=_kinds, xy=_vec_pair, c=st.floats(-50.0, 50.0),
+           exponent=st.sampled_from([-100, 0, 100]))
+    def test_parallel_y_collapses_x(self, kind, xy, c, exponent):
+        x = np.array(xy[0]) * 10.0 ** exponent
+        if not x.any() or abs(c) < 1e-3:
+            return
+        spec = _spec(kind, x.size)
+        assert bj_margin(spec, x, c * x) == pytest.approx(
+            -norm_eval(spec, x), rel=1e-12)
+
+    @pytest.mark.parametrize("kind", ["euclidean", "l1", "linf", "weighted"])
+    def test_batch_matches_rows(self, kind):
+        rng = np.random.default_rng(23)
+        xs = rng.normal(size=(64, 4)) * rng.uniform(0.1, 9.0, size=(64, 1))
+        ys = rng.normal(size=(64, 4))
+        xs[::5, 1] = 0.0
+        ys[::3, 2] = 0.0
+        xs[::7, 0] = xs[::7, 3]
+        ys[::11] = 2.0 * xs[::11]
+        ys[::13] = 0.0
+        spec = _spec(kind, 4)
+        batch = _bj_margins(spec, xs, ys)
+        assert batch.shape == (64,)
+        assert batch.tolist() == [bj_margin(spec, x, y)
+                                  for x, y in zip(xs, ys)]
 
 
 class TestPredicates:
@@ -261,6 +306,27 @@ class TestThalesian:
             y0 = thalesian_solve(rel, x, lam)
             assert is_orthogonal(rel, x, y0)
             assert is_orthogonal(rel, x + y0, lam * x - y0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(norm=st.sampled_from(["l1", "linf"]), dim=st.integers(2, 6),
+           seed=st.integers(0, 2 ** 32 - 1), lam=st.floats(0.0, 10.0),
+           scale=st.sampled_from([1e-100, 1.0, 1e100]))
+    def test_polyhedral_sampler_and_split_never_fail(self, norm, dim, seed,
+                                                     lam, scale):
+        rel = birkhoff_james_relation(norm)
+        pairs = sample_orthogonal_pairs(rel, dim, 6, radius=8.0 * scale,
+                                        seed=seed)
+        # lattice points add zero coordinates and ties in |x|
+        lattice = np.random.default_rng(seed).integers(-2, 3, size=(3, dim))
+        lattice[:, 0] = 1
+        # judged at unit scale, where the predicate's tolerance is relative
+        for x in [p[0] for p in pairs if p[0].any()] + list(lattice * scale):
+            y0 = thalesian_solve(rel, x, lam) / scale
+            x = x / scale
+            assert is_orthogonal(rel, x, y0)
+            assert is_orthogonal(rel, x + y0, lam * x - y0)
+        for x, y in pairs / scale:
+            assert is_orthogonal(rel, x, y)
 
 
 class TestAxioms:
