@@ -9,8 +9,8 @@ Subcommands:
 * ``cauchy``     the additive specialization (g = 0, sharper constants)
 * ``quadratic``  the purely quadratic specialization
 
-Exit codes: 0 all verified, 1 a bound or axiom failed, 2 bad input,
-3 an extraction diverged.
+Exit codes: 0 all verified, 1 a bound, an axiom or the corrector's
+doubling identity failed, 2 bad input, 3 an extraction diverged.
 
 ``--json PATH`` (or ``-`` for stdout) writes a machine-readable report;
 floats are rendered with 17 significant digits and no timestamps are
@@ -34,12 +34,12 @@ from .orthogonality import (DimensionMismatchError, NormSpec,
 from .perturb import (compose_cauchy_instance, compose_pexider_instance,
                       compose_quadratic_instance, make_cubic_growth,
                       random_ground_truth)
-from .stability import (DivergenceError, PipelineConfig,
+from .stability import (DivergenceError, DoublingIdentityError,
+                        PipelineConfig, closure_pairs,
                         derive_normalized_parts, doubling_defect,
                         extract_even, extract_odd, mixed_parity_defect,
                         pexider_defect, run_cauchy_corollary,
                         run_main_theorem, run_quadratic_corollary)
-from .stability import _closure_pairs
 
 __all__ = ["main", "parse_args", "execute", "dump_json_17g"]
 
@@ -58,9 +58,9 @@ def _build_relation(name: str):
 
 def _fmt(v: float) -> str:
     if math.isnan(v):
-        return '"NaN"'
+        return "NaN"
     if math.isinf(v):
-        return '"Infinity"' if v > 0 else '"-Infinity"'
+        return "Infinity" if v > 0 else "-Infinity"
     return f"{v:.17g}"
 
 
@@ -89,7 +89,7 @@ def dump_json_17g(obj, indent: int = 0) -> str:
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
-        return _fmt(float(obj))
+        return _fmt(float(obj)) if math.isfinite(obj) else f'"{_fmt(obj)}"'
     if obj is None:
         return "null"
     if isinstance(obj, str):
@@ -114,14 +114,6 @@ def _emit_csv(rows: list, header: list, path: str):
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
-
-
-def _csv_float(v: float) -> str:
-    if math.isnan(v):
-        return "NaN"
-    if math.isinf(v):
-        return "Infinity" if v > 0 else "-Infinity"
-    return f"{v:.17g}"
 
 
 def parse_args(argv=None) -> argparse.Namespace:
@@ -257,8 +249,8 @@ def _report_command(args: argparse.Namespace, runner) -> int:
     if args.json:
         _emit_json({"config": echo, "report": report.to_dict()}, args.json)
     if args.csv:
-        rows = [[c.name, _csv_float(c.coefficient), _csv_float(c.measured),
-                 _csv_float(c.bound), _csv_float(c.ratio),
+        rows = [[c.name, _fmt(c.coefficient), _fmt(c.measured),
+                 _fmt(c.bound), _fmt(c.ratio),
                  "pass" if c.passed else "fail",
                  "yes" if c.informational else "no"]
                 for c in report.bounds]
@@ -334,7 +326,7 @@ def _cmd_defect(args: argparse.Namespace) -> int:
     pairs = sample_orthogonal_pairs(rel, args.dim, args.pairs,
                                     radius=args.radius, seed=args.seed)
     grid = make_grid(args.dim, args.samples, args.radius, args.seed + 1)
-    closed = _closure_pairs(pairs, grid)
+    closed = closure_pairs(pairs, grid)
     eps = pexider_defect(f, g, h, k, closed)
     dbl = doubling_defect(f, grid)
     mix = mixed_parity_defect(f, grid)
@@ -351,9 +343,9 @@ def _cmd_defect(args: argparse.Namespace) -> int:
                "closure_pair_count": int(closed.shape[0])}
         _emit_json(doc, args.json)
     if args.csv:
-        rows = [["pexider", _csv_float(eps)],
-                ["even_doubling", _csv_float(dbl)],
-                ["literal_mixed_parity", _csv_float(mix)]]
+        rows = [["pexider", _fmt(eps)],
+                ["even_doubling", _fmt(dbl)],
+                ["literal_mixed_parity", _fmt(mix)]]
         _emit_csv(rows, ["name", "value"], args.csv)
     return 0
 
@@ -391,8 +383,8 @@ def _cmd_extract(args: argparse.Namespace) -> int:
         _emit_json(doc, args.json)
     if args.csv:
         rows = [[name, res.verdict, res.n_steps,
-                 _csv_float(res.raw_gaps[0] if res.raw_gaps else 0.0),
-                 _csv_float(res.raw_gaps[-1] if res.raw_gaps else 0.0)]
+                 _fmt(res.raw_gaps[0] if res.raw_gaps else 0.0),
+                 _fmt(res.raw_gaps[-1] if res.raw_gaps else 0.0)]
                 for name, res in runs.items()]
         _emit_csv(rows, ["component", "verdict", "steps", "first_gap",
                          "last_gap"], args.csv)
@@ -428,7 +420,7 @@ def execute(args: argparse.Namespace) -> int:
         print("error: --radius and --tol must be positive, --delta "
               "nonnegative", file=sys.stderr)
         return 2
-    if (0.1 * args.radius) ** 2 < sys.float_info.min:
+    if 0.1 * args.radius < math.sqrt(sys.float_info.min):
         # sampled points lie at least 0.1*radius from the origin, and
         # the closed-form relations divide by their squared norms
         print(f"error: --radius {args.radius:g} is too small: squared "
@@ -440,9 +432,11 @@ def execute(args: argparse.Namespace) -> int:
     try:
         return _COMMANDS[args.command](args)
     except (DimensionMismatchError, PairGenerationError,
-            ThalesianNotFoundError, EvaluationError, ValueError) as err:
+            ThalesianNotFoundError, EvaluationError, ValueError,
+            DoublingIdentityError) as err:
         print(f"error: {err}", file=sys.stderr)
-        return 2
+        # a corrector failing its doubling identity is a failed check
+        return 1 if isinstance(err, DoublingIdentityError) else 2
 
 
 def main(argv=None) -> int:

@@ -15,7 +15,8 @@ iteration, and assembles the correctors
 where R, R' come from the odd parts of f, g and S, S' from the even
 parts.  T'' is assembled with its even summands first so that its
 evaluation order mirrors h + k.  Every distance the underlying theory
-controls is then checked against its stated multiple of eps:
+controls is measured into one table, which is checked in the order of
+``MAIN_BOUND_COEFFS`` against its stated multiple of eps:
 
     coefficient   distance
         2         residual of the normalized quadruple (and its even
@@ -37,10 +38,12 @@ construction (parities resolve structurally, the rescaling operators
 multiply by powers of two, and sums are laid out so that both sides of
 each comparison round identically).
 
-Specialized runs cover the additive case (g = 0, with the sharper
-coefficients 14, 16, 32 and 72), the purely quadratic case (f = g
-even, h = k = 2f, with the additive extract certified to be small) and
-the inner-product relation (dimension at least 3).  A decomposition
+The joint even-doubling bound is left out when no split witness is
+found.  Specialized runs cover the additive case (g = 0, with the
+sharper coefficients 14, 16, 32 and 72), the purely quadratic case
+(f = g even, h = k = 2f, with the additive extract certified to be
+small) and the inner-product relation (dimension at least 3); the first
+two append one check of their own after the table's.  A decomposition
 helper splits any corrector into its odd and even parts and measures
 how additive and how quadratic they are, and a necessity check
 verifies the doubling identity that any corrector must satisfy.
@@ -55,8 +58,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .fixedpoint import (IterationResult, ScalingOperator, apply,
-                         apriori_bound, iterate)
+from .fixedpoint import (IterationResult, ScalingOperator, apriori_bound,
+                         iterate)
 from .funcspace import (DEFAULT_CAP, EvaluationError, MapHandle, SampleGrid,
                         even_part, make_grid, map_scale, map_sum, odd_part,
                         shift_to_zero, sup_distance, sup_norm, zero_map)
@@ -81,6 +84,7 @@ __all__ = [
     "derive_normalized_parts",
     "extract_odd",
     "extract_even",
+    "closure_pairs",
     "run_main_theorem",
     "run_cauchy_corollary",
     "run_quadratic_corollary",
@@ -224,9 +228,12 @@ class DefectReport:
 
 
 def _max_row_norm(arr: np.ndarray, what: str) -> float:
-    if not np.all(np.isfinite(arr)):
+    # also catches finite rows whose squared norms overflow to inf
+    with np.errstate(over="ignore"):
+        sup = float(np.max(np.sqrt(np.sum(arr * arr, axis=-1))))
+    if not math.isfinite(sup):
         raise EvaluationError(f"non-finite values measuring {what}")
-    return float(np.max(np.sqrt(np.sum(arr * arr, axis=-1))))
+    return sup
 
 
 def pexider_defect(f: MapHandle, g: MapHandle, h: MapHandle, k: MapHandle,
@@ -458,7 +465,7 @@ def _fingerprint(arr: np.ndarray) -> str:
     return hashlib.sha256(text.encode("ascii")).hexdigest()
 
 
-def _closure_pairs(pairs: np.ndarray, grid: SampleGrid) -> np.ndarray:
+def closure_pairs(pairs: np.ndarray, grid: SampleGrid) -> np.ndarray:
     """Close a pair set under the operations the measurements rely on.
 
     Adds the mirror (-x, -y) of every pair (orthogonal by scaling
@@ -494,24 +501,6 @@ def _require_same_space(maps: Sequence[MapHandle]):
         raise ValueError("all four maps must share source and target dims")
 
 
-def _extract_or_raise(name: str, phi: MapHandle, grid: SampleGrid,
-                      cfg: PipelineConfig, lam: float):
-    op = ScalingOperator(lam)
-    res = iterate(op, phi, grid, tol=cfg.tol, n_max=cfg.n_max, cap=cfg.cap)
-    if res.verdict != "converged":
-        raise DivergenceError(name, res)
-    summary = {
-        "verdict": res.verdict,
-        "lam": lam,
-        "n_steps": res.n_steps,
-        "apriori": apriori_bound(phi, op, grid),
-        "final_distance": sup_distance(phi, res.limit, grid, cap=cfg.cap),
-        "per_step_distances": res.per_step_distances,
-        "raw_gaps": res.raw_gaps,
-    }
-    return res.limit, summary
-
-
 def _split_witness_points(rel: OrthoRelation, grid: SampleGrid,
                           cfg: PipelineConfig) -> np.ndarray:
     pts = grid.points[1:]
@@ -522,33 +511,25 @@ def _split_witness_points(rel: OrthoRelation, grid: SampleGrid,
 
 
 def _joint_even_doubling(rel: OrthoRelation, Fe: MapHandle, Ge: MapHandle,
-                         pts: np.ndarray):
-    """sup of ||(Fe(2*y0) - 4 Fe(y0)) + (Ge(2x) - 4 Ge(x))|| over split
-    witnesses y0 for x at scaling 1; returns (sup or None, attempts,
-    failures)."""
-    best = 0.0
-    attempts = 0
-    failures = 0
-    got_any = False
+                         pts: np.ndarray) -> list:
+    """Row sups of ||(Fe(2*y0) - 4 Fe(y0)) + (Ge(2x) - 4 Ge(x))||, one
+    for each x in pts that has a split witness y0 at scaling 1."""
+    sups = []
     for x in pts:
-        attempts += 1
         try:
             y0 = thalesian_solve(rel, x, 1.0)
         except ThalesianNotFoundError:
-            failures += 1
             continue
-        got_any = True
         stack = np.array([y0, x])
         vals = Fe(2.0 * stack[:1]) - 4.0 * Fe(stack[:1]) \
             + Ge(2.0 * stack[1:]) - 4.0 * Ge(stack[1:])
-        best = max(best, _max_row_norm(vals, "the joint doubling defect"))
-    return (best if got_any else None), attempts, failures
+        sups.append(_max_row_norm(vals, "the joint doubling defect"))
+    return sups
 
 
 def _run_pipeline(rel: OrthoRelation, f: MapHandle, g: MapHandle,
                   h: MapHandle, k: MapHandle, cfg: PipelineConfig,
-                  coeffs: dict, corollary: str,
-                  extra_checks=None) -> StabilityReport:
+                  coeffs: dict, corollary: str) -> StabilityReport:
     _require_compatible(rel)
     _require_same_space([f, g, h, k])
     dim = f.source_dim
@@ -556,7 +537,7 @@ def _run_pipeline(rel: OrthoRelation, f: MapHandle, g: MapHandle,
     pairs = sample_orthogonal_pairs(rel, dim, cfg.pair_count,
                                     radius=cfg.radius, seed=cfg.seed)
     grid = make_grid(dim, cfg.grid_count, cfg.radius, cfg.seed + 1)
-    closed = _closure_pairs(pairs, grid)
+    closed = closure_pairs(pairs, grid)
 
     eps = pexider_defect(f, g, h, k, closed)
     defects = DefectReport(
@@ -566,82 +547,68 @@ def _run_pipeline(rel: OrthoRelation, f: MapHandle, g: MapHandle,
     )
 
     parts = derive_normalized_parts(f, g, h, k)
-    rtol = cfg.verdict_rtol
-    bounds: list[BoundCheck] = []
 
-    bounds.append(_check(
-        "shifted_residual", coeffs["shifted_residual"],
-        pexider_defect(parts.F, parts.G, parts.H, parts.K, closed),
-        eps, rtol))
-    bounds.append(_check(
-        "odd_part_residual", coeffs["odd_part_residual"],
-        pexider_defect(parts.Fo, parts.Go, parts.Ho, parts.Ko, closed),
-        eps, rtol))
-    bounds.append(_check(
-        "even_part_residual", coeffs["even_part_residual"],
-        pexider_defect(parts.Fe, parts.Ge, parts.He, parts.Ke, closed),
-        eps, rtol))
-    bounds.append(_check(
-        "f_odd_vs_mean", coeffs["f_odd_vs_mean"],
-        sup_distance(parts.Fo, parts.Lo, grid, cap=cfg.cap), eps, rtol))
-    bounds.append(_check(
-        "even_sum_vs_mean", coeffs["even_sum_vs_mean"],
-        sup_distance(map_sum(parts.Fe, parts.Ge), parts.Le, grid,
-                     cap=cfg.cap), eps, rtol))
+    def gap(a: MapHandle, b: MapHandle) -> float:
+        return sup_distance(a, b, grid, cap=cfg.cap)
+
+    # distance name -> measured value, in the order of MAIN_BOUND_COEFFS
+    measured: dict[str, float | None] = {
+        "shifted_residual": pexider_defect(
+            parts.F, parts.G, parts.H, parts.K, closed),
+        "odd_part_residual": pexider_defect(
+            parts.Fo, parts.Go, parts.Ho, parts.Ko, closed),
+        "even_part_residual": pexider_defect(
+            parts.Fe, parts.Ge, parts.He, parts.Ke, closed),
+        "f_odd_vs_mean": gap(parts.Fo, parts.Lo),
+        "even_sum_vs_mean": gap(map_sum(parts.Fe, parts.Ge), parts.Le),
+    }
 
     iterations: dict[str, dict] = {}
-    r, iterations["R"] = _extract_or_raise("R", parts.Fo, grid, cfg, 0.5)
-    r2, iterations["R_prime"] = _extract_or_raise("R_prime", parts.Go, grid,
-                                                  cfg, 0.5)
-    s, iterations["S"] = _extract_or_raise("S", parts.Fe, grid, cfg, 0.25)
-    s2, iterations["S_prime"] = _extract_or_raise("S_prime", parts.Ge, grid,
-                                                  cfg, 0.25)
+    limits = []
+    for name, phi, extractor in (("R", parts.Fo, extract_odd),
+                                 ("R_prime", parts.Go, extract_odd),
+                                 ("S", parts.Fe, extract_even),
+                                 ("S_prime", parts.Ge, extract_even)):
+        limit, res = extractor(phi, grid, tol=cfg.tol, n_max=cfg.n_max,
+                               cap=cfg.cap)
+        if res.verdict != "converged":
+            raise DivergenceError(name, res)
+        limits.append(limit)
+        iterations[name] = {
+            "verdict": res.verdict,
+            "lam": res.lam,
+            "n_steps": res.n_steps,
+            "apriori": apriori_bound(phi, ScalingOperator(res.lam), grid),
+            "final_distance": gap(phi, limit),
+            "per_step_distances": res.per_step_distances,
+            "raw_gaps": res.raw_gaps,
+        }
+    r, r2, s, s2 = limits
     t = map_sum(r, s, label="T")
     t2 = map_sum(r2, s2, label="T_prime")
     # even summands first: mirrors the evaluation order of h + k
     t3 = map_sum(map_scale(2.0, s), map_scale(2.0, s2), map_scale(2.0, r),
                  label="T_second")
 
-    bounds.append(_check(
-        "f_odd_gap", coeffs["f_odd_gap"],
-        sup_distance(parts.Fo, r, grid, cap=cfg.cap), eps, rtol))
-    bounds.append(_check(
-        "g_odd_gap", coeffs["g_odd_gap"],
-        sup_distance(parts.Go, r2, grid, cap=cfg.cap), eps, rtol))
-    bounds.append(_check(
-        "mean_odd_gap", coeffs["mean_odd_gap"],
-        sup_distance(parts.Lo, r, grid, cap=cfg.cap), eps, rtol))
-
     witnesses = _split_witness_points(rel, grid, cfg)
-    joint, attempts, failures = _joint_even_doubling(
-        rel, parts.Fe, parts.Ge, witnesses)
-    if joint is not None:
-        bounds.append(_check(
-            "joint_even_doubling", coeffs["joint_even_doubling"],
-            joint, eps, rtol))
-    bounds.append(_check(
-        "g_even_doubling", coeffs["g_even_doubling"],
-        _doubling_residual(parts.Ge, grid.points, 4.0), eps, rtol))
-    bounds.append(_check(
-        "g_even_gap", coeffs["g_even_gap"],
-        sup_distance(parts.Ge, s2, grid, cap=cfg.cap), eps, rtol))
-    bounds.append(_check(
-        "f_even_gap", coeffs["f_even_gap"],
-        sup_distance(parts.Fe, s, grid, cap=cfg.cap), eps, rtol))
-    bounds.append(_check(
-        "mean_even_gap", coeffs["mean_even_gap"],
-        sup_distance(parts.Le, map_sum(s, s2), grid, cap=cfg.cap),
-        eps, rtol))
-    bounds.append(_check(
-        "f_total_gap", coeffs["f_total_gap"],
-        sup_distance(parts.F, t, grid, cap=cfg.cap), eps, rtol))
-    bounds.append(_check(
-        "g_total_gap", coeffs["g_total_gap"],
-        sup_distance(parts.G, t2, grid, cap=cfg.cap), eps, rtol))
-    bounds.append(_check(
-        "hk_total_gap", coeffs["hk_total_gap"],
-        sup_distance(map_sum(parts.H, parts.K), t3, grid, cap=cfg.cap),
-        eps, rtol))
+    sups = _joint_even_doubling(rel, parts.Fe, parts.Ge, witnesses)
+    measured.update({
+        "f_odd_gap": gap(parts.Fo, r),
+        "g_odd_gap": gap(parts.Go, r2),
+        "mean_odd_gap": gap(parts.Lo, r),
+        # left out of the bounds when no witness split
+        "joint_even_doubling": max(sups) if sups else None,
+        "g_even_doubling": _doubling_residual(parts.Ge, grid.points, 4.0),
+        "g_even_gap": gap(parts.Ge, s2),
+        "f_even_gap": gap(parts.Fe, s),
+        "mean_even_gap": gap(parts.Le, map_sum(s, s2)),
+        "f_total_gap": gap(parts.F, t),
+        "g_total_gap": gap(parts.G, t2),
+        "hk_total_gap": gap(map_sum(parts.H, parts.K), t3),
+    })
+    bounds = [_check(name, coeff, measured[name], eps, cfg.verdict_rtol)
+              for name, coeff in coeffs.items()
+              if measured[name] is not None]
 
     components = {
         "R": r, "R_prime": r2, "S": s, "S_prime": s2,
@@ -649,8 +616,6 @@ def _run_pipeline(rel: OrthoRelation, f: MapHandle, g: MapHandle,
         "F": parts.F, "G": parts.G, "H": parts.H, "K": parts.K,
         "L": parts.L,
     }
-    if extra_checks is not None:
-        bounds.extend(extra_checks(components, grid, eps, cfg))
 
     # diagnostics: never gated, reported for inspection
     fresh = sample_orthogonal_pairs(rel, dim, cfg.pair_count,
@@ -679,8 +644,8 @@ def _run_pipeline(rel: OrthoRelation, f: MapHandle, g: MapHandle,
                 parts.Fe(grid.points) - parts.Fe(-grid.points),
                 "evenness of F's even part"),
         },
-        "split_witness_attempts": attempts,
-        "split_witness_failures": failures,
+        "split_witness_attempts": len(witnesses),
+        "split_witness_failures": len(witnesses) - len(sups),
         "closure_pair_count": int(closed.shape[0]),
     }
 
@@ -729,18 +694,13 @@ def run_cauchy_corollary(rel: OrthoRelation, f: MapHandle, h: MapHandle,
     one.
     """
     cfg = config if config is not None else PipelineConfig()
-    coeffs = dict(MAIN_BOUND_COEFFS)
-    coeffs.update(ADDITIVE_CASE_COEFFS)
+    coeffs = {**MAIN_BOUND_COEFFS, **ADDITIVE_CASE_COEFFS}
     g = zero_map(f.source_dim, f.target_dim)
-
-    def extra(components, grid, eps, c):
-        measured = sup_distance(
-            map_sum(components["H"], components["K"]),
-            components["T_second"], grid, cap=c.cap)
-        return [_check("hk_total_gap_statement", 16.0, measured, eps,
-                       c.verdict_rtol, informational=True)]
-
-    return _run_pipeline(rel, f, g, h, k, cfg, coeffs, "cauchy", extra)
+    report = _run_pipeline(rel, f, g, h, k, cfg, coeffs, "cauchy")
+    report.bounds.append(_check(
+        "hk_total_gap_statement", 16.0, report.bound("hk_total_gap").measured,
+        report.eps_hat, cfg.verdict_rtol, informational=True))
+    return report
 
 
 def run_quadratic_corollary(rel: OrthoRelation, q: MapHandle,
@@ -759,14 +719,13 @@ def run_quadratic_corollary(rel: OrthoRelation, q: MapHandle,
     if contaminant is not None:
         q = map_sum(q, contaminant, label="Q+contaminant")
     h = map_scale(2.0, q, label="2Q")
-
-    def extra(components, grid, eps, c):
-        measured = sup_norm(components["R"], grid, cap=c.cap)
-        return [_check("additive_component_size", 18.0, measured, eps,
-                       c.verdict_rtol)]
-
-    return _run_pipeline(rel, q, q, h, h, cfg, MAIN_BOUND_COEFFS,
-                         "quadratic", extra)
+    report = _run_pipeline(rel, q, q, h, h, cfg, MAIN_BOUND_COEFFS,
+                           "quadratic")
+    report.bounds.append(_check(
+        "additive_component_size", 18.0,
+        sup_norm(report.components["R"], report.grid, cap=cfg.cap),
+        report.eps_hat, cfg.verdict_rtol))
+    return report
 
 
 def run_inner_product_corollary(f: MapHandle, g: MapHandle, h: MapHandle,

@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from orthostab.cli import dump_json_17g, main, parse_args
+from orthostab.cli import _fmt, dump_json_17g, main, parse_args
 
 FAST = ["--samples", "48", "--pairs", "48"]
 
@@ -19,6 +19,12 @@ class TestJsonDump:
         assert dump_json_17g(math.inf) == '"Infinity"'
         assert dump_json_17g(-math.inf) == '"-Infinity"'
         assert dump_json_17g(math.nan) == '"NaN"'
+
+    def test_csv_spelling(self):
+        assert _fmt(math.inf) == "Infinity"
+        assert _fmt(-math.inf) == "-Infinity"
+        assert _fmt(math.nan) == "NaN"
+        assert _fmt(0.1) == "0.10000000000000001"
 
     def test_scalars_and_nesting(self):
         obj = {"a": [True, None, 2], "b": {"c": "x\"y"}}
@@ -96,6 +102,34 @@ class TestExitCodes:
         assert main(["report", "--radius", "1e-300", *FAST]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
+        # squared norms overflow: an infinite defect certifies nothing
+        ["report", "--radius", "1e100"],
+        ["defect", "--radius", "1e100"],
+        # the square of the radius itself overflows a float
+        ["report", "--radius", "1e200"],
+        ["defect", "--radius", "1e200"],
+        ["axioms", "--radius", "1e200"],
+        ["extract", "--radius", "1e200"],
+    ])
+    def test_overflowing_radius_is_usage_error(self, argv, capsys):
+        assert main([*argv, *FAST]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert [line for line in err.splitlines()
+                if line.startswith("error: ")] == err.splitlines()[-1:]
+
+    @pytest.mark.parametrize("argv", [
+        ["report", "--tol", "1e-3", "--delta", "0.01"],
+        ["cauchy", "--tol", "1e-2", "--delta", "0.1"],
+    ])
+    def test_corrector_off_doubling_identity_fails(self, argv, capsys):
+        # a loose tol stops the even extraction short of a quadratic map
+        assert main([*argv, *FAST]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: corrector violates the doubling")
+        assert err.count("\n") == 1
 
 
 class TestSerialization:

@@ -5,7 +5,9 @@ import pytest
 
 from orthostab.funcspace import (MapHandle, make_grid, map_sum, sup_distance,
                                  zero_map)
-from orthostab.orthogonality import (birkhoff_james_relation,
+from orthostab import stability
+from orthostab.orthogonality import (ThalesianNotFoundError,
+                                     birkhoff_james_relation,
                                      inner_product_relation,
                                      symmetrize_relation, trivial_relation)
 from orthostab.perturb import (compose_cauchy_instance,
@@ -15,7 +17,7 @@ from orthostab.perturb import (compose_cauchy_instance,
                                random_ground_truth)
 from orthostab.stability import (ADDITIVE_CASE_COEFFS, MAIN_BOUND_COEFFS,
                                  DivergenceError, DoublingIdentityError,
-                                 PipelineConfig, _check, _closure_pairs,
+                                 PipelineConfig, _check, closure_pairs,
                                  derive_normalized_parts, doubling_defect,
                                  extract_even, extract_odd, necessity_check,
                                  pexider_defect, ratz_decompose,
@@ -95,7 +97,7 @@ class TestClosurePairs:
     def test_contents(self):
         pairs = np.random.default_rng(2).normal(size=(5, 2, 3))
         grid = make_grid(3, 8, 4.0, seed=1)  # origin plus 8 shell points
-        closed = _closure_pairs(pairs, grid)
+        closed = closure_pairs(pairs, grid)
         assert closed.shape == (2 * 5 + 1 + 4 * 8, 2, 3)
         assert any(np.array_equal(row, np.zeros((2, 3))) for row in closed)
         # negations of the sampled pairs are present
@@ -178,6 +180,23 @@ class TestMainTheorem:
         names = [c.name for c in report.bounds]
         assert names == list(MAIN_BOUND_COEFFS)
 
+    def test_no_split_witness_omits_joint_doubling(self, monkeypatch):
+        def no_split(rel, x, lam):
+            raise ThalesianNotFoundError("no split")
+
+        monkeypatch.setattr(stability, "thalesian_solve", no_split)
+        gt = random_ground_truth(3, delta=1e-3, seed=8)
+        f, g, h, k = compose_pexider_instance(gt)
+        report = run_main_theorem(inner_product_relation(), f, g, h, k,
+                                  config=SMALL)
+        names = [c.name for c in report.bounds]
+        assert names == [n for n in MAIN_BOUND_COEFFS
+                         if n != "joint_even_doubling"]
+        diag = report.diagnostics
+        assert diag["split_witness_attempts"] == len(report.grid) - 1
+        assert diag["split_witness_failures"] == diag[
+            "split_witness_attempts"]
+
     def test_unsymmetrized_relation_rejected(self):
         gt = random_ground_truth(3, delta=0.0, seed=9)
         f, g, h, k = compose_pexider_instance(gt)
@@ -232,6 +251,14 @@ class TestCauchyCorollary:
         extra = report.bound("hk_total_gap_statement")
         assert extra.informational
         assert extra.coefficient == 16.0
+        coeffs = {**MAIN_BOUND_COEFFS, **ADDITIVE_CASE_COEFFS}
+        assert [c.name for c in report.bounds] == [
+            *coeffs, "hk_total_gap_statement"]
+        # the same distance as the normative check, measured once
+        assert extra.measured == report.bound("hk_total_gap").measured
+        comp = report.components
+        assert extra.measured == sup_distance(
+            map_sum(comp["H"], comp["K"]), comp["T_second"], report.grid)
 
 
 class TestQuadraticCorollary:
@@ -243,6 +270,8 @@ class TestQuadraticCorollary:
         assert report.corollary == "quadratic"
         size = report.bound("additive_component_size")
         assert size.coefficient == 18.0
+        assert [c.name for c in report.bounds] == [
+            *MAIN_BOUND_COEFFS, "additive_component_size"]
         # even-parity noise keeps the odd part structurally zero
         assert size.measured == 0.0
         assert report.passed
