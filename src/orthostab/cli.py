@@ -426,6 +426,13 @@ def execute(args: argparse.Namespace) -> int:
         print(f"error: --radius {args.radius:g} is too small: squared "
               "norms of sampled points underflow", file=sys.stderr)
         return 2
+    if args.radius > math.sqrt(sys.float_info.max):
+        # sampled points lie up to radius from the origin; past this
+        # their squared norms overflow and numpy warns before any
+        # measurement can reject the run
+        print(f"error: --radius {args.radius:g} is too large: squared "
+              "norms of sampled points overflow", file=sys.stderr)
+        return 2
     if args.n_max < 0:
         print("error: --n-max must be nonnegative", file=sys.stderr)
         return 2

@@ -316,35 +316,56 @@ def is_orthogonal(rel: OrthoRelation, x, y) -> bool:
     return False
 
 
+def _as_rows(x) -> tuple[np.ndarray, bool]:
+    # a 1-D point becomes a batch of one row; the flag says to unwrap
+    arr = np.asarray(x, dtype=float)
+    if arr.ndim not in (1, 2):
+        raise DimensionMismatchError(
+            f"expected a point or a batch of points, got shape {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("point has non-finite coordinates")
+    return np.atleast_2d(arr), arr.ndim == 1
+
+
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # row i equals float(a[i] @ b[i]) bit for bit: on a stack of (1, dim)
+    # rows NumPy runs its one-row kernel per row, while a 2-D product of
+    # the whole block may round some rows differently
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
 def unit_perp(x) -> np.ndarray:
     """A deterministic Euclidean unit vector perpendicular to x.
 
     Projects the coordinate axis least aligned with x off x.  Requires
-    dimension >= 2; returns the first axis for x = 0.
+    dimension >= 2; returns the first axis for x = 0.  x may also be a
+    batch of shape (n, dim), giving one perpendicular per row, each
+    equal bit for bit to the call on that row alone.
     """
-    x = as_point(x)
-    if x.size < 2:
+    rows, single = _as_rows(x)
+    if rows.shape[1] < 2:
         raise DimensionMismatchError("no perpendicular exists in dimension 1")
-    nx2 = float(x @ x)
-    e = np.zeros_like(x)
-    if nx2 == 0.0:
-        e[0] = 1.0
-        return e
-    j = int(np.argmin(np.abs(x)))
-    e[j] = 1.0
-    v = e - (x[j] / nx2) * x
-    return v / math.sqrt(float(v @ v))
+    nx2 = _row_dots(rows, rows)
+    idx = np.arange(len(rows))
+    j = np.argmin(np.abs(rows), axis=1)
+    v = np.zeros_like(rows)
+    v[idx, j] = 1.0
+    # a zero row keeps its axis: x[j] = 0 over a stand-in norm of 1
+    v -= (rows[idx, j] / np.where(nx2 == 0.0, 1.0, nx2))[:, None] * rows
+    v /= np.sqrt(_row_dots(v, v))[:, None]
+    return v[0] if single else v
 
 
 def _weighted_perp(x: np.ndarray, weights) -> np.ndarray:
-    # perpendicular in the weighted inner product <u, v> = sum w u v
+    # row-wise perpendicular in the weighted inner product <u, v> = sum w u v
     w = np.asarray(weights, dtype=float)
-    j = int(np.argmin(np.abs(x)))
-    e = np.zeros_like(x)
-    e[j] = 1.0
-    denom = float(np.sum(w * x * x))
-    v = e - (w[j] * x[j] / denom) * x
-    return v / math.sqrt(float(np.sum(w * v * v)))
+    idx = np.arange(len(x))
+    j = np.argmin(np.abs(x), axis=1)
+    v = np.zeros_like(x)
+    v[idx, j] = 1.0
+    denom = np.sum(w * x * x, axis=1)
+    v -= (w[j] * x[idx, j] / denom)[:, None] * x
+    return v / np.sqrt(np.sum(w * v * v, axis=1))[:, None]
 
 
 def _norming_functional(spec: NormSpec, x: np.ndarray) -> np.ndarray:
@@ -376,15 +397,16 @@ def _one_sided_slopes(spec: NormSpec, a: np.ndarray, b: np.ndarray):
 
 def _closed_form_split(rel: OrthoRelation, x: np.ndarray,
                        lam: float) -> np.ndarray:
-    # trivial, inner product, and inner-product-like BJ norms: y0 is a
-    # perpendicular scaled so that <x + y0, lam*x - y0> = lam|x|^2 - |y0|^2 = 0
+    # trivial, inner product, and inner-product-like BJ norms, row by row:
+    # y0 is a perpendicular scaled so that
+    # <x + y0, lam*x - y0> = lam|x|^2 - |y0|^2 = 0
     if rel.kind == "birkhoff_james" and rel.norm.kind == "weighted":
         u = _weighted_perp(x, rel.norm.weights)
         nx = norm_eval(rel.norm, x)
     else:
         u = unit_perp(x)
-        nx = math.sqrt(float(x @ x))
-    return math.sqrt(lam) * nx * u
+        nx = np.sqrt(_row_dots(x, x))
+    return (math.sqrt(lam) * nx)[:, None] * u
 
 
 def thalesian_solve(rel: OrthoRelation, x, lam: float) -> np.ndarray:
@@ -400,27 +422,40 @@ def thalesian_solve(rel: OrthoRelation, x, lam: float) -> np.ndarray:
     orthogonal where a shortest point sits at t = 0.  Both conditions
     are rechecked on exact margins.
 
+    x is a point of shape (dim,) or a batch of shape (n, dim); a batch
+    gives one y0 per row, each equal bit for bit to the call on that
+    row alone.  The closed forms run on all rows at once, the l1/linf
+    search row by row.
+
     Raises ThalesianNotFoundError (with the best residuals attached)
-    when the recheck fails, ValueError for x = 0 since the axiom
-    presumes x spans a direction.
+    when the recheck fails for a point; in a batch such a row is
+    returned as NaN instead.  Raises ValueError when x, or any row of a
+    batch, is 0, since the axiom presumes x spans a direction.
     """
-    x = as_point(x)
-    if x.size < 2:
+    rows, single = _as_rows(x)
+    if rows.shape[1] < 2:
         raise DimensionMismatchError("the splitting axiom needs dim >= 2")
     lam = float(lam)
     if lam < 0.0 or not math.isfinite(lam):
         raise ValueError("lam must be a finite nonnegative real")
-    if not x.any():
+    if not rows.any(axis=1).all():
         raise ValueError("x = 0 spans no direction; the axiom presumes x != 0")
     if lam == 0.0:
         # x _|_ 0 and x + 0 _|_ 0 hold for every relation kind
-        return np.zeros_like(x)
-
-    if rel.kind != "birkhoff_james" or rel.norm.kind in ("euclidean",
-                                                         "weighted"):
-        return _closed_form_split(rel, x, lam)
-
-    return _bj_split_search(rel, x, lam)
+        out = np.zeros_like(rows)
+    elif rel.kind != "birkhoff_james" or rel.norm.kind in ("euclidean",
+                                                           "weighted"):
+        out = _closed_form_split(rel, rows, lam)
+    elif single:
+        return _bj_split_search(rel, rows[0], lam)
+    else:
+        out = np.full_like(rows, np.nan)
+        for i, row in enumerate(rows):
+            try:
+                out[i] = _bj_split_search(rel, row, lam)
+            except ThalesianNotFoundError:
+                pass
+    return out[0] if single else out
 
 
 def _bj_split_search(rel: OrthoRelation, x: np.ndarray,

@@ -6,10 +6,11 @@ import pytest
 from orthostab.funcspace import (MapHandle, make_grid, map_sum, sup_distance,
                                  zero_map)
 from orthostab import stability
-from orthostab.orthogonality import (ThalesianNotFoundError,
+from orthostab.orthogonality import (NormSpec, ThalesianNotFoundError,
                                      birkhoff_james_relation,
                                      inner_product_relation,
-                                     symmetrize_relation, trivial_relation)
+                                     symmetrize_relation, thalesian_solve,
+                                     trivial_relation)
 from orthostab.perturb import (compose_cauchy_instance,
                                compose_pexider_instance,
                                compose_quadratic_instance, make_additive,
@@ -182,7 +183,8 @@ class TestMainTheorem:
 
     def test_no_split_witness_omits_joint_doubling(self, monkeypatch):
         def no_split(rel, x, lam):
-            raise ThalesianNotFoundError("no split")
+            # a batch marks each row without a split witness as NaN
+            return np.full_like(x, np.nan)
 
         monkeypatch.setattr(stability, "thalesian_solve", no_split)
         gt = random_ground_truth(3, delta=1e-3, seed=8)
@@ -228,6 +230,49 @@ class TestMainTheorem:
             run_main_theorem(inner_product_relation(), f, g, h, k,
                              config=SMALL)
         assert exc.value.result.verdict == "diverged"
+
+
+def per_point_joint_even_doubling(rel, Fe, Ge, pts):
+    """The per-point loop the batched split-witness stage replaced: one
+    Thalesian solve and one map call per point."""
+    rows = []
+    for x in pts:
+        try:
+            y0 = thalesian_solve(rel, x, 1.0)
+        except ThalesianNotFoundError:
+            continue
+        stack = np.array([y0, x])
+        rows.append(Fe(2.0 * stack[:1]) - 4.0 * Fe(stack[:1])
+                    + Ge(2.0 * stack[1:]) - 4.0 * Ge(stack[1:]))
+    return np.array(rows)
+
+
+# relation name -> the relation in a given dimension
+SPLIT_RELATIONS = {
+    "trivial": lambda dim: trivial_relation(),
+    "inner": lambda dim: inner_product_relation(),
+    "bj:l2": lambda dim: birkhoff_james_relation(),
+    "bj:weighted": lambda dim: birkhoff_james_relation(
+        NormSpec.weighted(np.linspace(0.5, 3.0, dim))),
+    "bj:l1": lambda dim: symmetrize_relation(birkhoff_james_relation("l1")),
+    "bj:linf": lambda dim: symmetrize_relation(
+        birkhoff_james_relation("linf")),
+}
+
+
+class TestJointEvenDoubling:
+    @pytest.mark.parametrize("name", SPLIT_RELATIONS)
+    @pytest.mark.parametrize("dim", [3, 5])
+    @pytest.mark.parametrize("delta", [0.0, 0.01])
+    def test_batch_equals_per_point_loop(self, name, dim, delta):
+        rel = SPLIT_RELATIONS[name](dim)
+        gt = random_ground_truth(dim, delta=delta, seed=dim)
+        parts = derive_normalized_parts(*compose_pexider_instance(gt))
+        pts = make_grid(dim, 64, 8.0, seed=dim).points[1:]
+        got = stability._joint_even_doubling(rel, parts.Fe, parts.Ge, pts)
+        want = per_point_joint_even_doubling(rel, parts.Fe, parts.Ge, pts)
+        assert got.shape == (len(pts), 1, dim)
+        assert got.tobytes() == want.tobytes()
 
 
 class TestCauchyCorollary:
