@@ -41,16 +41,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ScalingOperator:
-    """(J phi)(x) = lam * phi(doubling * x), contraction factor lam."""
+    """(J phi)(x) = lam * phi(2x), contraction factor lam."""
 
     lam: float
-    doubling: float = 2.0
 
     def __post_init__(self):
         if not (0.0 < self.lam < 1.0):
             raise ValueError("lam must lie in (0, 1)")
-        if self.doubling != 2.0:
-            raise ValueError("only the doubling operator is supported")
 
 
 def _require_anchored(phi: MapHandle):

@@ -31,7 +31,7 @@ kernel.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -282,40 +282,6 @@ def symmetrize_relation(rel: OrthoRelation) -> OrthoRelation:
     return replace(rel, symmetrized=True)
 
 
-def _max_minor(x: np.ndarray, y: np.ndarray) -> float:
-    # largest |x_i y_j - x_j y_i|; zero iff the pair is linearly dependent
-    g = np.outer(x, y)
-    return float(np.max(np.abs(g - g.T)))
-
-
-def _directed(rel: OrthoRelation, x: np.ndarray, y: np.ndarray) -> bool:
-    if rel.kind == "trivial":
-        if not x.any() or not y.any():
-            return True
-        nx = math.sqrt(float(x @ x))
-        ny = math.sqrt(float(y @ y))
-        return _max_minor(x, y) > rel.tol * (1.0 + nx * ny)
-    if rel.kind == "inner_product":
-        nx = math.sqrt(float(x @ x))
-        ny = math.sqrt(float(y @ y))
-        return abs(float(x @ y)) <= rel.tol * (1.0 + nx * ny)
-    margin = bj_margin(rel.norm, x, y)
-    return margin >= -rel.tol * (1.0 + norm_eval(rel.norm, x))
-
-
-def is_orthogonal(rel: OrthoRelation, x, y) -> bool:
-    """Decide the relation's predicate; deterministic for fixed inputs."""
-    x = as_point(x)
-    y = as_point(y)
-    if x.shape != y.shape:
-        raise DimensionMismatchError("points differ in dimension")
-    if _directed(rel, x, y):
-        return True
-    if rel.symmetrized:
-        return _directed(rel, y, x)
-    return False
-
-
 def _as_rows(x) -> tuple[np.ndarray, bool]:
     # a 1-D point becomes a batch of one row; the flag says to unwrap
     arr = np.asarray(x, dtype=float)
@@ -332,6 +298,59 @@ def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     # rows NumPy runs its one-row kernel per row, while a 2-D product of
     # the whole block may round some rows differently
     return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
+def _max_minors(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    # row-wise largest |x_i y_j - x_j y_i|; zero iff x and y are dependent
+    g = xs[:, :, None] * ys[:, None, :]
+    return np.abs(g - g.transpose(0, 2, 1)).max(axis=(1, 2))
+
+
+def _pair_scales(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    # 1 + |x| |y| row by row, the scale of the closed-form tolerances
+    return 1.0 + np.sqrt(_row_dots(xs, xs)) * np.sqrt(_row_dots(ys, ys))
+
+
+def _directed(rel: OrthoRelation, xs: np.ndarray,
+              ys: np.ndarray) -> np.ndarray:
+    # the directed test x _|_ y on paired rows, one verdict per row
+    if rel.kind == "birkhoff_james":
+        return (_bj_margins(rel.norm, xs, ys)
+                >= -rel.tol * (1.0 + norm_eval(rel.norm, xs)))
+    if rel.kind == "inner_product":
+        return (np.abs(_row_dots(xs, ys))
+                <= rel.tol * _pair_scales(xs, ys))
+    # trivial: the zero vector is orthogonal to everything
+    out = ~(xs.any(axis=1) & ys.any(axis=1))
+    live = ~out
+    xs, ys = xs[live], ys[live]
+    out[live] = _max_minors(xs, ys) > rel.tol * _pair_scales(xs, ys)
+    return out
+
+
+def _orthogonal(rel: OrthoRelation, xs: np.ndarray,
+                ys: np.ndarray) -> np.ndarray:
+    # the relation's predicate on paired rows of xs and ys
+    if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
+        raise ValueError("point has non-finite coordinates")
+    ok = _directed(rel, xs, ys)
+    if rel.symmetrized and not ok.all():
+        rest = ~ok
+        ok[rest] = _directed(rel, ys[rest], xs[rest])
+    return ok
+
+
+def is_orthogonal(rel: OrthoRelation, x, y) -> bool:
+    """Decide the relation's predicate; deterministic for fixed inputs.
+
+    The decision is the row-batched predicate that ``check_axioms``
+    runs on whole samples, applied to one row.
+    """
+    x = as_point(x)
+    y = as_point(y)
+    if x.shape != y.shape:
+        raise DimensionMismatchError("points differ in dimension")
+    return bool(_orthogonal(rel, x[None, :], y[None, :])[0])
 
 
 def unit_perp(x) -> np.ndarray:
@@ -396,7 +415,7 @@ def _one_sided_slopes(spec: NormSpec, a: np.ndarray, b: np.ndarray):
 
 
 def _closed_form_split(rel: OrthoRelation, x: np.ndarray,
-                       lam: float) -> np.ndarray:
+                       lam: np.ndarray) -> np.ndarray:
     # trivial, inner product, and inner-product-like BJ norms, row by row:
     # y0 is a perpendicular scaled so that
     # <x + y0, lam*x - y0> = lam|x|^2 - |y0|^2 = 0
@@ -406,10 +425,10 @@ def _closed_form_split(rel: OrthoRelation, x: np.ndarray,
     else:
         u = unit_perp(x)
         nx = np.sqrt(_row_dots(x, x))
-    return (math.sqrt(lam) * nx)[:, None] * u
+    return (np.sqrt(lam) * nx)[:, None] * u
 
 
-def thalesian_solve(rel: OrthoRelation, x, lam: float) -> np.ndarray:
+def thalesian_solve(rel: OrthoRelation, x, lam) -> np.ndarray:
     """Solve the splitting axiom: y0 with x _|_ y0, x+y0 _|_ lam*x - y0.
 
     Closed form for the trivial, inner-product, and euclidean or
@@ -420,12 +439,14 @@ def thalesian_solve(rel: OrthoRelation, x, lam: float) -> np.ndarray:
     t -> ||(x + s*y_dir) + t*(lam*x - s*y_dir)||: at s = 0 that norm is
     shortest at t = -1/lam, for large s near t = 1, and the pair is
     orthogonal where a shortest point sits at t = 0.  Both conditions
-    are rechecked on exact margins.
+    are rechecked on exact margins.  lam = 0 gives y0 = 0 for every
+    relation.
 
     x is a point of shape (dim,) or a batch of shape (n, dim); a batch
     gives one y0 per row, each equal bit for bit to the call on that
-    row alone.  The closed forms run on all rows at once, the l1/linf
-    search row by row.
+    row alone.  lam is one value for every row or one value per row.
+    The closed forms run on all rows at once, the l1/linf search row by
+    row.
 
     Raises ThalesianNotFoundError (with the best residuals attached)
     when the recheck fails for a point; in a batch such a row is
@@ -435,26 +456,28 @@ def thalesian_solve(rel: OrthoRelation, x, lam: float) -> np.ndarray:
     rows, single = _as_rows(x)
     if rows.shape[1] < 2:
         raise DimensionMismatchError("the splitting axiom needs dim >= 2")
-    lam = float(lam)
-    if lam < 0.0 or not math.isfinite(lam):
+    lams = np.asarray(lam, dtype=float)
+    if lams.shape not in ((), rows.shape[:1]):
+        raise DimensionMismatchError("lam must be a scalar or one per row")
+    if not np.all(np.isfinite(lams) & (lams >= 0.0)):
         raise ValueError("lam must be a finite nonnegative real")
     if not rows.any(axis=1).all():
         raise ValueError("x = 0 spans no direction; the axiom presumes x != 0")
-    if lam == 0.0:
-        # x _|_ 0 and x + 0 _|_ 0 hold for every relation kind
-        out = np.zeros_like(rows)
-    elif rel.kind != "birkhoff_james" or rel.norm.kind in ("euclidean",
-                                                           "weighted"):
-        out = _closed_form_split(rel, rows, lam)
-    elif single:
-        return _bj_split_search(rel, rows[0], lam)
+    lams = np.broadcast_to(lams, (len(rows),))
+    # x _|_ 0 and x + 0 _|_ 0 hold for every relation kind
+    out = np.zeros_like(rows)
+    live = lams > 0.0
+    if rel.kind != "birkhoff_james" or rel.norm.kind in ("euclidean",
+                                                         "weighted"):
+        out[live] = _closed_form_split(rel, rows[live], lams[live])
     else:
-        out = np.full_like(rows, np.nan)
-        for i, row in enumerate(rows):
+        for i in np.flatnonzero(live):
             try:
-                out[i] = _bj_split_search(rel, row, lam)
+                out[i] = _bj_split_search(rel, rows[i], float(lams[i]))
             except ThalesianNotFoundError:
-                pass
+                if single:
+                    raise
+                out[i] = np.nan
     return out[0] if single else out
 
 
@@ -521,13 +544,7 @@ class AxiomCheck:
     witnesses: list
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "passed": self.passed,
-            "tested": self.tested,
-            "failures": self.failures,
-            "witnesses": self.witnesses,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -580,7 +597,9 @@ def check_axioms(rel: OrthoRelation, dim: int, n_samples: int = 256,
     nonzero orthogonal vectors are linearly independent, that the
     relation survives scalar rescaling of either argument, and that the
     splitting axiom is solvable; symmetry is tested informationally.
-    Failures never raise; they are recorded with witnesses.
+    Each axiom is one batch for the predicate of ``is_orthogonal`` (and
+    one ``thalesian_solve``).  Failures never raise; they are recorded
+    with their first three witnesses, and a NaN minor or split fails.
     """
     if dim < 2:
         raise DimensionMismatchError("orthogonality spaces need dim >= 2")
@@ -589,93 +608,73 @@ def check_axioms(rel: OrthoRelation, dim: int, n_samples: int = 256,
     rng = np.random.default_rng(seed)
     pts = np.array([_random_point(rng, dim, radius)
                     for _ in range(max(n_samples, 4))])
-    zero = np.zeros(dim)
     checks: dict[str, AxiomCheck] = {}
 
-    # O1: totality for zero, both sides plus the (0, 0) pair
-    wit: list = []
-    fails = 0
-    sub = pts[:min(len(pts), 128)]
-    for v in sub:
-        if not is_orthogonal(rel, v, zero):
-            fails += 1
-            if len(wit) < 3:
-                wit.append({"x": v.tolist(), "side": "right"})
-        if not is_orthogonal(rel, zero, v):
-            fails += 1
-            if len(wit) < 3:
-                wit.append({"x": v.tolist(), "side": "left"})
-    if not is_orthogonal(rel, zero, zero):
-        fails += 1
-        wit.append({"x": zero.tolist(), "side": "both"})
-    checks["zero_orthogonal"] = AxiomCheck(
-        "zero_orthogonal", fails == 0, 2 * len(sub) + 1, fails, wit)
+    def record(name: str, ok: np.ndarray, witness):
+        bad = np.flatnonzero(~ok)
+        checks[name] = AxiomCheck(name, bad.size == 0, ok.size, bad.size,
+                                  [witness(int(i)) for i in bad[:3]])
+
+    # O1: totality for zero: (v, 0), then (0, v) for each v, then (0, 0)
+    sub = pts[:128]
+    xs = np.zeros((2 * len(sub) + 1, dim))
+    ys = np.zeros_like(xs)
+    xs[:-1:2] = sub
+    ys[1::2] = sub
+    sides = ["right", "left"] * len(sub) + ["both"]
+    record("zero_orthogonal", _orthogonal(rel, xs, ys),
+           lambda i: {"x": (ys if i % 2 else xs)[i].tolist(),
+                      "side": sides[i]})
 
     n_pairs = min(n_samples, 64)
     pairs = sample_orthogonal_pairs(rel, dim, n_pairs + 2, radius=radius,
                                     seed=seed + 1)[2:]
+    px, py = np.ascontiguousarray(pairs.transpose(1, 0, 2))
 
-    # O2: nonzero orthogonal vectors must be linearly independent
-    wit, fails = [], 0
-    for xp, yp in pairs:
-        scale = 1.0 + math.sqrt(float(xp @ xp)) * math.sqrt(float(yp @ yp))
-        if _max_minor(xp, yp) <= 1e-10 * scale:
-            fails += 1
-            if len(wit) < 3:
-                wit.append({"x": xp.tolist(), "y": yp.tolist()})
-    checks["independence"] = AxiomCheck(
-        "independence", fails == 0, len(pairs), fails, wit)
+    def pair(i: int) -> dict:
+        return {"x": px[i].tolist(), "y": py[i].tolist()}
+
+    # O2: nonzero orthogonal vectors must be linearly independent; a NaN
+    # minor (overflow) fails
+    record("independence",
+           _max_minors(px, py) > 1e-10 * _pair_scales(px, py), pair)
 
     # O3: x _|_ y must survive x -> a*x, y -> b*y, zero and sign included
     scalings = [(0.0, 1.0), (1.0, 0.0), (-1.0, 1.0), (1.0, -1.0)]
     scalings += [tuple(rng.uniform(-3.0, 3.0, size=2)) for _ in range(16)]
-    wit, fails, tested = [], 0, 0
-    for xp, yp in pairs[:min(len(pairs), 32)]:
-        for a, b in scalings:
-            tested += 1
-            if not is_orthogonal(rel, a * xp, b * yp):
-                fails += 1
-                if len(wit) < 3:
-                    wit.append({"x": xp.tolist(), "y": yp.tolist(),
-                                "alpha": a, "beta": b})
-    checks["homogeneity"] = AxiomCheck(
-        "homogeneity", fails == 0, tested, fails, wit)
+    ab, k = np.array(scalings), len(scalings)
+    hx = (ab[:, 0, None] * px[:32, None]).reshape(-1, dim)
+    hy = (ab[:, 1, None] * py[:32, None]).reshape(-1, dim)
+    record("homogeneity", _orthogonal(rel, hx, hy),
+           lambda i: {**pair(i // k), "alpha": scalings[i % k][0],
+                      "beta": scalings[i % k][1]})
 
     # O4: the splitting axiom, lam = 0 and 1 forced, the rest uniform
     n_split = min(n_samples, 64)
     lams = np.concatenate([[0.0, 1.0, 4.0],
                            rng.uniform(0.0, 10.0,
                                        size=max(0, n_split - 3))])[:n_split]
-    wit, fails = [], 0
-    for v, lam in zip(pts[:n_split], lams):
+    vs = pts[:n_split]
+    y0 = thalesian_solve(rel, vs, lams)
+    # NaN rows have no split; the second test runs where the first holds
+    ok = ~np.isnan(y0).any(axis=1)
+    ok[ok] = _orthogonal(rel, vs[ok], y0[ok])
+    ok[ok] = _orthogonal(rel, vs[ok] + y0[ok],
+                         lams[ok, None] * vs[ok] - y0[ok])
+
+    def split_witness(i: int) -> dict:
+        wit = {"x": vs[i].tolist(), "lam": float(lams[i])}
         try:
-            y0 = thalesian_solve(rel, v, float(lam))
+            # a row without a split gets the residuals of its own solve
+            wit["y0"] = thalesian_solve(rel, vs[i], lams[i]).tolist()
         except ThalesianNotFoundError as err:
-            fails += 1
-            if len(wit) < 3:
-                wit.append({"x": v.tolist(), "lam": float(lam),
-                            "residuals": err.residuals})
-            continue
-        ok = (is_orthogonal(rel, v, y0)
-              and is_orthogonal(rel, v + y0, float(lam) * v - y0))
-        if not ok:
-            fails += 1
-            if len(wit) < 3:
-                wit.append({"x": v.tolist(), "lam": float(lam),
-                            "y0": y0.tolist()})
-    checks["split_existence"] = AxiomCheck(
-        "split_existence", fails == 0, n_split, fails, wit)
+            wit["residuals"] = err.residuals
+        return wit
+
+    record("split_existence", ok, split_witness)
 
     # symmetry (informational): both orders on sampled orthogonal pairs
-    wit, fails = [], 0
-    for xp, yp in pairs:
-        if not is_orthogonal(rel, yp, xp):
-            fails += 1
-            if len(wit) < 3:
-                wit.append({"x": xp.tolist(), "y": yp.tolist()})
-    checks["symmetry"] = AxiomCheck(
-        "symmetry", fails == 0, len(pairs), fails, wit)
-
+    record("symmetry", _orthogonal(rel, py, px), pair)
     return AxiomReport(relation_descriptor(rel), dim, n_samples, seed,
                        checks)
 
@@ -711,9 +710,8 @@ def _generate_pair(rel: OrthoRelation, rng: np.random.Generator, dim: int,
     if rel.kind == "trivial":
         for _ in range(8):
             y = _random_point(rng, dim, radius)
-            nx = math.sqrt(float(x @ x))
-            ny = math.sqrt(float(y @ y))
-            if _max_minor(x, y) > 1e-6 * (1.0 + nx * ny):
+            if (_max_minors(x[None], y[None])
+                    > 1e-6 * _pair_scales(x[None], y[None]))[0]:
                 return x, y
         raise PairGenerationError("could not find an independent partner")
     if rel.kind == "inner_product" or (

@@ -365,6 +365,33 @@ class TestThalesian:
                              for x in xs])
             assert batch.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("name", SPLIT_RELATIONS)
+    @pytest.mark.parametrize("dim", [2, 3, 5, 8])
+    def test_per_row_lam_equals_scalar_calls(self, name, dim):
+        rel = SPLIT_RELATIONS[name](dim)
+        xs = split_points(dim, seed=dim + 1)
+        lams = np.random.default_rng(dim).uniform(0.0, 10.0, size=len(xs))
+        lams[::4] = 0.0
+        lams[1::4] = 1.0
+        batch = thalesian_solve(rel, xs, lams)
+        rows = np.array([thalesian_solve(rel, x, float(lam))
+                         for x, lam in zip(xs, lams)])
+        assert batch.tobytes() == rows.tobytes()
+        # lam = 0 gives +0, never -0, whatever the perpendicular's signs
+        assert not np.signbit(batch[lams == 0.0]).any()
+        if name not in ("bj:l1", "bj:linf"):
+            want = np.array([one_point_closed_form_split(rel, x, lam)
+                             if lam > 0.0 else np.zeros(dim)
+                             for x, lam in zip(xs, lams)])
+            assert batch.tobytes() == want.tobytes()
+
+    def test_lam_per_row_shape_checked(self):
+        xs = np.array([[1.0, 2.0], [3.0, -1.0]])
+        with pytest.raises(DimensionMismatchError):
+            thalesian_solve(inner_product_relation(), xs, [1.0, 2.0, 3.0])
+        with pytest.raises(ValueError):
+            thalesian_solve(inner_product_relation(), xs, [1.0, math.nan])
+
     @pytest.mark.parametrize("norm", ["l1", "linf"])
     def test_batch_marks_rows_without_split_as_nan(self, norm,
                                                    monkeypatch):
