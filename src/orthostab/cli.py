@@ -213,7 +213,8 @@ def _report_command(args: argparse.Namespace, runner) -> int:
     cfg = _pipeline_config(args)
     echo = _config_echo(args, auto_sym)
     try:
-        report = runner(rel, cfg)
+        gt = random_ground_truth(args.dim, delta=args.delta, seed=args.seed)
+        report = runner(rel, cfg, gt)
     except DivergenceError as err:
         print(f"divergence in component {err.component!r}: "
               f"{err.result.verdict} after {err.result.n_steps} steps",
@@ -260,26 +261,21 @@ def _report_command(args: argparse.Namespace, runner) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    def runner(rel, cfg):
-        gt = random_ground_truth(args.dim, delta=args.delta, seed=args.seed)
-        f, g, h, k = compose_pexider_instance(gt)
-        return run_main_theorem(rel, f, g, h, k, cfg)
+    def runner(rel, cfg, gt):
+        return run_main_theorem(rel, *compose_pexider_instance(gt), cfg)
 
     return _report_command(args, runner)
 
 
 def _cmd_cauchy(args: argparse.Namespace) -> int:
-    def runner(rel, cfg):
-        gt = random_ground_truth(args.dim, delta=args.delta, seed=args.seed)
-        f, h, k = compose_cauchy_instance(gt)
-        return run_cauchy_corollary(rel, f, h, k, cfg)
+    def runner(rel, cfg, gt):
+        return run_cauchy_corollary(rel, *compose_cauchy_instance(gt), cfg)
 
     return _report_command(args, runner)
 
 
 def _cmd_quadratic(args: argparse.Namespace) -> int:
-    def runner(rel, cfg):
-        gt = random_ground_truth(args.dim, delta=args.delta, seed=args.seed)
+    def runner(rel, cfg, gt):
         q = compose_quadratic_instance(gt)
         contaminant = None
         if args.cubic is not None:
@@ -357,21 +353,20 @@ def _cmd_extract(args: argparse.Namespace) -> int:
                     label="f+cubic")
     parts = derive_normalized_parts(f, g, h, k)
     grid = make_grid(args.dim, args.samples, args.radius, args.seed + 1)
-    runs = {}
-    for name, phi, extractor in (
-            ("R", parts.Fo, extract_odd),
-            ("R_prime", parts.Go, extract_odd),
-            ("S", parts.Fe, extract_even),
-            ("S_prime", parts.Ge, extract_even)):
-        _, res = extractor(phi, grid, tol=args.tol, n_max=args.n_max)
-        runs[name] = res
+    runs = {name: extractor(phi, grid, tol=args.tol, n_max=args.n_max)[1]
+            for name, phi, extractor in (
+                ("R", parts.Fo, extract_odd),
+                ("R_prime", parts.Go, extract_odd),
+                ("S", parts.Fe, extract_even),
+                ("S_prime", parts.Ge, extract_even))}
+    # first and last raw gap of each run, 0 for a run with none
+    ends = {name: (res.raw_gaps[0], res.raw_gaps[-1]) if res.raw_gaps
+            else (0.0, 0.0) for name, res in runs.items()}
     quiet = args.json == "-"
     if not quiet:
         for name, res in runs.items():
-            first = res.raw_gaps[0] if res.raw_gaps else 0.0
-            last = res.raw_gaps[-1] if res.raw_gaps else 0.0
             print(f"  {name:8s} {res.verdict:28s} steps={res.n_steps:3d} "
-                  f"gap0={first:.3e} gapN={last:.3e}")
+                  f"gap0={ends[name][0]:.3e} gapN={ends[name][1]:.3e}")
     if args.json:
         doc = {"config": _config_echo(args, False),
                "iterations": {
@@ -382,10 +377,8 @@ def _cmd_extract(args: argparse.Namespace) -> int:
                    for name, res in runs.items()}}
         _emit_json(doc, args.json)
     if args.csv:
-        rows = [[name, res.verdict, res.n_steps,
-                 _fmt(res.raw_gaps[0] if res.raw_gaps else 0.0),
-                 _fmt(res.raw_gaps[-1] if res.raw_gaps else 0.0)]
-                for name, res in runs.items()]
+        rows = [[name, res.verdict, res.n_steps, _fmt(ends[name][0]),
+                 _fmt(ends[name][1])] for name, res in runs.items()]
         _emit_csv(rows, ["component", "verdict", "steps", "first_gap",
                          "last_gap"], args.csv)
     verdicts = {res.verdict for res in runs.values()}

@@ -25,7 +25,9 @@ characterization (Trans. AMS 61, 1947): x _|_ y exactly when some
 norming functional of x, one of dual norm 1 that attains ||x|| at x,
 vanishes on y.  sign(x) is one for l1, sign(x_j)*e_j at an argmax j of
 |x| one for linf, and orthogonal partners of x are drawn from its
-kernel.
+kernel.  Split vectors lie in that kernel too; their scale is a root
+of piecewise linear one-sided slopes, taken from a finite candidate
+set on all rows at once.
 """
 
 from __future__ import annotations
@@ -64,6 +66,8 @@ DEFAULT_TOL = 1e-9
 
 _NORM_KINDS = ("euclidean", "l1", "linf", "weighted")
 _RELATION_KINDS = ("trivial", "inner_product", "birkhoff_james")
+# floats per block of the l1/linf split's slope arrays (2 MB each)
+_SLOPE_BLOCK = 1 << 18
 
 class DimensionMismatchError(ValueError):
     """Vector shapes do not line up with a declared dimension."""
@@ -387,31 +391,17 @@ def _weighted_perp(x: np.ndarray, weights) -> np.ndarray:
     return v / np.sqrt(np.sum(w * v * v, axis=1))[:, None]
 
 
-def _norming_functional(spec: NormSpec, x: np.ndarray) -> np.ndarray:
-    # a functional of dual norm 1 with phi(x) = ||x|| (l1 or linf)
+def _norming_functional(spec: NormSpec, xs: np.ndarray) -> np.ndarray:
+    # row-wise functionals of dual norm 1 with phi(x) = ||x|| (l1 or linf)
     if spec.kind == "l1":
-        return np.sign(x)
-    j = int(np.argmax(np.abs(x)))
-    phi = np.zeros_like(x)
-    phi[j] = np.sign(x[j])
-    return phi
+        return np.sign(xs)
+    top = np.argmax(np.abs(xs), axis=1)[:, None]
+    return np.where(np.arange(xs.shape[1]) == top, np.sign(xs), 0.0)
 
 
-def _kernel_part(phi: np.ndarray, u: np.ndarray) -> np.ndarray:
-    # euclidean projection of u onto the kernel of phi
-    return u - (float(u @ phi) / float(phi @ phi)) * phi
-
-
-def _one_sided_slopes(spec: NormSpec, a: np.ndarray, b: np.ndarray):
-    """Left and right derivatives at t = 0 of t -> ||a + t*b|| (l1/linf)."""
-    if spec.kind == "l1":
-        base = float(np.sign(a) @ b)
-        free = float(np.sum(np.abs(b[a == 0.0])))
-        return base - free, base + free
-    aa = np.abs(a)
-    top = aa == aa.max()
-    vals = np.sign(a[top]) * b[top]
-    return float(vals.min()), float(vals.max())
+def _kernel_part(phi: np.ndarray, us: np.ndarray) -> np.ndarray:
+    # row-wise euclidean projection of us onto the kernel of phi
+    return us - (_row_dots(us, phi) / _row_dots(phi, phi))[:, None] * phi
 
 
 def _closed_form_split(rel: OrthoRelation, x: np.ndarray,
@@ -434,22 +424,25 @@ def thalesian_solve(rel: OrthoRelation, x, lam) -> np.ndarray:
     Closed form for the trivial, inner-product, and euclidean or
     weighted Birkhoff-James relations.  For l1/linf Birkhoff-James,
     y0 = s*y_dir with y_dir in the kernel of a norming functional of x,
-    so x _|_ y0 for every s.  The scale s >= 0 is found by bisection on
-    the signs of the one-sided derivatives at t = 0 of
-    t -> ||(x + s*y_dir) + t*(lam*x - s*y_dir)||: at s = 0 that norm is
-    shortest at t = -1/lam, for large s near t = 1, and the pair is
-    orthogonal where a shortest point sits at t = 0.  Both conditions
-    are rechecked on exact margins.  lam = 0 gives y0 = 0 for every
-    relation.
+    so x _|_ y0 for every s.  The second condition holds where 0 lies
+    between the one-sided slopes at t = 0 of
+    t -> ||(x + s*y_dir) + t*(lam*x - s*y_dir)||.  They are piecewise
+    linear in s, so every root s is a breakpoint of the slopes or the
+    zero of one linear piece, and these are written down for all rows
+    at once.  The left slope is positive exactly below the least root,
+    so its sign at every candidate places that root; the three
+    candidates around the place are rechecked on exact margins for
+    both conditions, and a row takes the passing one with the largest
+    second margin, the smallest s among ties.  Nothing is searched.
+    lam = 0 gives y0 = 0 for every relation.
 
     x is a point of shape (dim,) or a batch of shape (n, dim); a batch
     gives one y0 per row, each equal bit for bit to the call on that
     row alone.  lam is one value for every row or one value per row.
-    The closed forms run on all rows at once, the l1/linf search row by
-    row.
 
-    Raises ThalesianNotFoundError (with the best residuals attached)
-    when the recheck fails for a point; in a batch such a row is
+    Raises ThalesianNotFoundError when no candidate passes the recheck
+    for a point, with the largest first and second margins over the
+    rechecked candidates and lam attached; in a batch such a row is
     returned as NaN instead.  Raises ValueError when x, or any row of a
     batch, is 0, since the axiom presumes x spans a direction.
     """
@@ -471,66 +464,86 @@ def thalesian_solve(rel: OrthoRelation, x, lam) -> np.ndarray:
                                                          "weighted"):
         out[live] = _closed_form_split(rel, rows[live], lams[live])
     else:
-        for i in np.flatnonzero(live):
-            try:
-                out[i] = _bj_split_search(rel, rows[i], float(lams[i]))
-            except ThalesianNotFoundError:
-                if single:
-                    raise
-                out[i] = np.nan
+        out[live], first, second = _bj_splits(rel, rows[live], lams[live])
+        if single and np.isnan(out[0]).any():
+            raise ThalesianNotFoundError(
+                f"no splitting vector found for lam={lams[0]:g}",
+                {"first_margin": float(first[0]),
+                 "second_margin": float(second[0]), "lam": float(lams[0])})
     return out[0] if single else out
 
 
-def _bj_split_search(rel: OrthoRelation, x: np.ndarray,
-                     lam: float) -> np.ndarray:
-    # scale-free: y_dir has euclidean length ||x||, and unit_perp sees a
-    # unit vector
-    nrm = norm_eval(rel.norm, x)
-    y_dir = _kernel_part(_norming_functional(rel.norm, x),
-                         unit_perp(x / nrm))
-    y_dir *= nrm / math.sqrt(float(y_dir @ y_dir))
-
-    def side(s: float) -> int:
-        # +1: every minimizer of t -> ||a + t*b|| lies below 0 (s too
-        # small), -1: every minimizer lies above 0 (s too large), 0: a _|_ b
-        down, up = _one_sided_slopes(rel.norm, x + s * y_dir,
-                                     lam * x - s * y_dir)
-        if down > 0.0:
-            return 1
-        if up < 0.0:
-            return -1
-        return 0
-
-    # side(0) = +1 and side(s) = -1 for large s, so doubling finds a bracket
-    lo, hi = 0.0, 1.0 + math.sqrt(lam)
-    for _ in range(200):
-        if side(hi) <= 0:
-            break
-        lo, hi = hi, 2.0 * hi
-    # the bracket ends keep their sides, so its limit is a root
-    while lo < 0.5 * (lo + hi) < hi:
-        mid = 0.5 * (lo + hi)
-        c = side(mid)
-        if c == 0:
-            lo = hi = mid
-        elif c > 0:
-            lo = mid
+def _split_scales(spec: NormSpec, x: np.ndarray, y: np.ndarray,
+                  lam: np.ndarray) -> np.ndarray:
+    # sorted candidate scales s of the split s*y, one row per row of x.
+    # l1: the breakpoints s = -x_i/y_i, and on the piece right of 0 or of
+    # a breakpoint, with sign vector sigma, the zero of the slope
+    # lam*sigma.x - s*sigma.y.  linf: the crossings |x_i + s*y_i| =
+    # |x_j + s*y_j|, and the zeros s = lam*x_j/y_j of the slope of a
+    # largest coordinate j.  A root has ||x + s*y|| <= (1 + lam)*||x||,
+    # so s*||y|| <= (2 + lam)*||x||; undefined candidates and those past
+    # twice that become s = 0, which is no root for lam > 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if spec.kind == "l1":
+            r = np.where(y != 0.0, -x / y, np.inf)
+            # the sign vector right of 0 and right of each breakpoint
+            left = np.concatenate([np.zeros((len(x), 1)), r], axis=1)
+            sigma = np.where(r[:, None, :] <= left[:, :, None],
+                             np.sign(y)[:, None, :], np.sign(x)[:, None, :])
+            zeros = (lam[:, None] * np.sum(sigma * x[:, None, :], axis=2)
+                     / np.sum(sigma * y[:, None, :], axis=2))
+            s = np.concatenate([r, zeros], axis=1)
         else:
-            hi = mid
+            i, j = np.triu_indices(x.shape[1], 1)
+            s = np.concatenate([-(x[:, i] - x[:, j]) / (y[:, i] - y[:, j]),
+                                -(x[:, i] + x[:, j]) / (y[:, i] + y[:, j]),
+                                lam[:, None] * x / y], axis=1)
+        cap = 2.0 * (2.0 + lam) * norm_eval(spec, x) / norm_eval(spec, y)
+    return np.sort(np.where((s > 0.0) & (s <= cap[:, None]), s, 0.0), axis=1)
 
-    cands = np.array([hi, lo])[:, None] * y_dir[None, :]
-    lhs = x[None, :] + cands
-    first = _bj_margins(rel.norm, np.array([x, x]), cands)
-    second = _bj_margins(rel.norm, lhs, lam * x[None, :] - cands)
-    first_ok = first >= -rel.tol * (1.0 + nrm)
-    second_ok = second >= -rel.tol * (1.0 + norm_eval(rel.norm, lhs))
-    for y0, ok1, ok2 in zip(cands, first_ok, second_ok):
-        if ok1 and ok2:
-            return y0
-    raise ThalesianNotFoundError(
-        f"no splitting vector found for lam={lam:g}",
-        {"first_margin": float(first.max()),
-         "second_margin": float(second.max()), "lam": lam})
+
+def _bj_splits(rel: OrthoRelation, x: np.ndarray, lam: np.ndarray):
+    # thalesian_solve on l1/linf rows with lam > 0: y0, NaN where no
+    # candidate passes, and each row's largest first and second margins
+    nx = norm_eval(rel.norm, x)
+    # scale-free: y_dir has euclidean length ||x||, and unit_perp sees
+    # unit vectors
+    y_dir = _kernel_part(_norming_functional(rel.norm, x),
+                         unit_perp(x / nx[:, None]))
+    y_dir *= (nx / np.sqrt(_row_dots(y_dir, y_dir)))[:, None]
+    s = _split_scales(rel.norm, x, y_dir, lam)
+    # the left slope of t -> ||a + t*b|| at t = 0, a = x + s*y_dir and
+    # b = lam*x - s*y_dir, is positive exactly below the least root, so
+    # the count of positive ones places that root among the sorted
+    # candidates, up to one place of rounding either way.  The slopes
+    # take rows * candidates * dim floats, so rows go in blocks
+    place = np.empty(len(x), dtype=int)
+    step = max(1, _SLOPE_BLOCK // (s.shape[1] * x.shape[1]))
+    for r in (slice(i, i + step) for i in range(0, len(x), step)):
+        a = x[r, None] + s[r, :, None] * y_dir[r, None]
+        b = lam[r, None, None] * x[r, None] - s[r, :, None] * y_dir[r, None]
+        if rel.norm.kind == "l1":
+            down = np.sum(np.sign(a) * b - np.where(a == 0.0, np.abs(b), 0.0),
+                          axis=2)
+        else:
+            top = np.abs(a) == np.abs(a).max(axis=2, keepdims=True)
+            down = np.min(np.where(top, np.sign(a) * b, np.inf), axis=2)
+        place[r] = np.sum(down > 0.0, axis=1)
+    near = np.clip(place[:, None] + np.arange(-1, 2), 0, s.shape[1] - 1)
+    s = np.take_along_axis(s, near, axis=1)
+    y0 = s[:, :, None] * y_dir[:, None, :]
+    xs = np.broadcast_to(x[:, None, :], y0.shape)
+    lhs = xs + y0
+    first, second = _bj_margins(
+        rel.norm, np.concatenate([xs, lhs]).reshape(-1, x.shape[1]),
+        np.concatenate([y0, lam[:, None, None] * xs - y0]).reshape(
+            -1, x.shape[1])).reshape((2,) + s.shape)
+    ok = ((first >= -rel.tol * (1.0 + nx[:, None]))
+          & (second >= -rel.tol * (1.0 + norm_eval(rel.norm, lhs))))
+    best = np.argmax(np.where(ok, second, -np.inf), axis=1)
+    out = y0[np.arange(len(x)), best]
+    out[~ok.any(axis=1)] = np.nan
+    return out, first.max(axis=1), second.max(axis=1)
 
 
 @dataclass
@@ -732,12 +745,12 @@ def _generate_pair(rel: OrthoRelation, rng: np.random.Generator, dim: int,
     # functional of x vanishes on y (James), so y is drawn from the
     # kernel of one; accept only with a margin well inside the predicate
     # tolerance so that rescaled copies stay orthogonal under homogeneity
-    phi = _norming_functional(rel.norm, x)
+    phi = _norming_functional(rel.norm, x[None])
     best_margin = -math.inf
     accept = -0.05 * rel.tol * (1.0 + norm_eval(rel.norm, x))
     for _ in range(8):
         u = rng.normal(size=dim)
-        y = _kernel_part(phi, u)
+        y = _kernel_part(phi, u[None])[0]
         ny = math.sqrt(float(y @ y))
         if ny <= 1e-12 * math.sqrt(float(u @ u)):
             continue

@@ -219,11 +219,7 @@ class DefectReport:
     literal_mixed_parity: float
 
     def to_dict(self) -> dict:
-        return {
-            "pexider": self.pexider,
-            "even_doubling": self.even_doubling,
-            "literal_mixed_parity": self.literal_mixed_parity,
-        }
+        return asdict(self)
 
 
 def _max_row_norm(arr: np.ndarray, what: str) -> float:
@@ -477,24 +473,19 @@ def closure_pairs(pairs: np.ndarray, grid: SampleGrid) -> np.ndarray:
     residuals and both mean-comparison distances are controlled by the
     measured defect pointwise, not just heuristically.
     """
-    dim = grid.dim
     pts = grid.points[1:]
-    n = len(pts)
-    one_sided = np.zeros((4 * n, 2, dim))
-    one_sided[0 * n:1 * n, 0, :] = pts
-    one_sided[1 * n:2 * n, 0, :] = -pts
-    one_sided[2 * n:3 * n, 1, :] = pts
-    one_sided[3 * n:4 * n, 1, :] = -pts
-    zero_pair = np.zeros((1, 2, dim))
+    zero = np.zeros_like(pts)
+    one_sided = np.stack([np.concatenate([pts, -pts, zero, zero]),
+                          np.concatenate([zero, zero, pts, -pts])], axis=1)
+    zero_pair = np.zeros((1, 2, grid.dim))
     return np.concatenate([pairs, -pairs, zero_pair, one_sided], axis=0)
 
 
 def _require_compatible(rel: OrthoRelation):
-    if rel.is_symmetric:
-        return
-    raise ValueError(
-        "the pipeline needs a symmetric relation (pairs are used in "
-        "both roles); wrap the relation with symmetrize_relation first")
+    if not rel.is_symmetric:
+        raise ValueError(
+            "the pipeline needs a symmetric relation (pairs are used in "
+            "both roles); wrap the relation with symmetrize_relation first")
 
 
 def _require_same_space(maps: Sequence[MapHandle]):

@@ -70,7 +70,7 @@ GOLDEN = [
     ("cauchy bj:l2", 0,
      "5dd13c60fc108f6aed1f56a1a6b2265282a2c154a0c25e99a3599b20f34c0f36"),
     ("cauchy bj:linf", 0,
-     "cbd671cc69ce2a2be35c91afa3d02b22b92e8a35bfa79b01d313910cd521b29a"),
+     "50255180706920656b59b03a26c457355eb3fc5beb4fd06afcc01686cdc2dbc3"),
     ("quadratic trivial", 0,
      "e83308deefe5fa2944ba8ab31d163f88c853c366b20fe967ffe67d134a386086"),
     ("quadratic inner", 0,

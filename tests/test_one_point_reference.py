@@ -259,15 +259,14 @@ def test_witness_order_under_an_arbitrary_predicate(monkeypatch):
 
 @pytest.mark.parametrize("norm", ["l1", "linf"])
 def test_split_failures_carry_one_point_residuals(norm, monkeypatch):
-    search = orth._bj_split_search
+    solve = orth._bj_splits
 
-    def fails_on_negative_lead(rel, x, lam):
-        if x[0] < 0.0:
-            raise ThalesianNotFoundError("no split",
-                                         {"lam": lam, "lead": float(x[0])})
-        return search(rel, x, lam)
+    def fails_on_negative_lead(rel, xs, lams):
+        y0, first, second = solve(rel, xs, lams)
+        y0[xs[:, 0] < 0.0] = np.nan
+        return y0, first, second
 
-    monkeypatch.setattr(orth, "_bj_split_search", fails_on_negative_lead)
+    monkeypatch.setattr(orth, "_bj_splits", fails_on_negative_lead)
     rel = birkhoff_james_relation(norm)
     got = check_axioms(rel, 3, 24, seed=6)
     _assert_same_report(got, ref_check_axioms(rel, 3, 24, seed=6))
@@ -287,3 +286,86 @@ def test_overflowed_minor_fails_independence(norm):
     assert not indep.passed
     assert indep.failures == indep.tested
     assert not report.passed
+
+
+def ref_one_sided_slopes(spec, a, b):
+    """Left and right derivatives at t = 0 of t -> ||a + t*b|| (l1/linf)."""
+    if spec.kind == "l1":
+        base = float(np.sign(a) @ b)
+        free = float(np.sum(np.abs(b[a == 0.0])))
+        return base - free, base + free
+    aa = np.abs(a)
+    top = aa == aa.max()
+    vals = np.sign(a[top]) * b[top]
+    return float(vals.min()), float(vals.max())
+
+
+def ref_bisection_split(rel, x, lam):
+    """The l1/linf split found one point at a time by bracket doubling
+    and bisection on the signs of the one-sided slopes, as before the
+    solver wrote the roots down in closed form."""
+    nrm = norm_eval(rel.norm, x)
+    if rel.norm.kind == "l1":
+        phi = np.sign(x)
+    else:
+        j = int(np.argmax(np.abs(x)))
+        phi = np.zeros_like(x)
+        phi[j] = np.sign(x[j])
+    u = orth.unit_perp(x / nrm)
+    y_dir = u - (float(u @ phi) / float(phi @ phi)) * phi
+    y_dir *= nrm / math.sqrt(float(y_dir @ y_dir))
+
+    def side(s):
+        down, up = ref_one_sided_slopes(rel.norm, x + s * y_dir,
+                                        lam * x - s * y_dir)
+        if down > 0.0:
+            return 1
+        if up < 0.0:
+            return -1
+        return 0
+
+    lo, hi = 0.0, 1.0 + math.sqrt(lam)
+    for _ in range(200):
+        if side(hi) <= 0:
+            break
+        lo, hi = hi, 2.0 * hi
+    while lo < 0.5 * (lo + hi) < hi:
+        mid = 0.5 * (lo + hi)
+        c = side(mid)
+        if c == 0:
+            lo = hi = mid
+        elif c > 0:
+            lo = mid
+        else:
+            hi = mid
+    for s in (hi, lo):
+        y0 = s * y_dir
+        if (bj_margin(rel.norm, x, y0) >= -rel.tol * (1.0 + nrm)
+                and bj_margin(rel.norm, x + y0, lam * x - y0)
+                >= -rel.tol * (1.0 + norm_eval(rel.norm, x + y0))):
+            return y0
+    raise ThalesianNotFoundError(f"no splitting vector found for lam={lam:g}")
+
+
+@pytest.mark.parametrize("norm", ["l1", "linf"])
+@pytest.mark.parametrize("dim", [2, 3, 5, 8])
+@pytest.mark.parametrize("scale", [1e-100, 1.0, 1e100])
+def test_exact_split_fails_no_row_the_bisection_splits(norm, dim, scale):
+    rel = birkhoff_james_relation(norm)
+    rng = np.random.default_rng(dim)
+    # generic rows, and lattice rows with zero coordinates and ties in |x|
+    lattice = rng.integers(-2, 3, size=(12, dim)).astype(float)
+    lattice[:, 0] = np.where(lattice[:, 0] == 0.0, 1.0, lattice[:, 0])
+    xs = np.vstack([rng.normal(size=(12, dim)), lattice]) * scale
+    lams = rng.uniform(0.0, 10.0, size=len(xs))
+    lams[::4] = 1.0
+    got = thalesian_solve(rel, xs, lams)
+    split = 0
+    for x, lam, y0 in zip(xs, lams, got):
+        try:
+            ref_bisection_split(rel, x, float(lam))
+        except ThalesianNotFoundError:
+            continue
+        split += 1
+        assert not np.isnan(y0).any()
+    assert split > 0

@@ -397,15 +397,14 @@ class TestThalesian:
                                                    monkeypatch):
         import orthostab.orthogonality as orth
 
-        search = orth._bj_split_search
+        solve = orth._bj_splits
 
-        def fails_on_negative_lead(rel, x, lam):
-            if x[0] < 0.0:
-                raise ThalesianNotFoundError("no split")
-            return search(rel, x, lam)
+        def fails_on_negative_lead(rel, xs, lams):
+            y0, first, second = solve(rel, xs, lams)
+            y0[xs[:, 0] < 0.0] = np.nan
+            return y0, first, second
 
-        monkeypatch.setattr(orth, "_bj_split_search",
-                            fails_on_negative_lead)
+        monkeypatch.setattr(orth, "_bj_splits", fails_on_negative_lead)
         rel = symmetrize_relation(birkhoff_james_relation(norm))
         xs = split_points(3, seed=5)
         batch = thalesian_solve(rel, xs, 1.0)
@@ -417,6 +416,69 @@ class TestThalesian:
             else:
                 assert y0.tobytes() == want.tobytes()
         assert np.isnan(batch[:, 0]).sum() == (xs[:, 0] < 0.0).sum() > 0
+
+    @pytest.mark.parametrize("norm", ["l1", "linf"])
+    @pytest.mark.parametrize("symmetrized", [False, True])
+    @pytest.mark.parametrize("dim", [2, 3, 5, 8])
+    @pytest.mark.parametrize("scale", [1e-100, 1.0, 1e100])
+    # no candidate scale may overflow or divide by zero out loud
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_every_polyhedral_row_splits(self, norm, symmetrized, dim,
+                                         scale):
+        rel = birkhoff_james_relation(norm, symmetrized=symmetrized)
+        pts = split_points(dim, seed=3 * dim) * scale
+        lams = np.random.default_rng(dim).uniform(0.0, 10.0, size=len(pts))
+        lams[::5] = 1.0
+        y0 = thalesian_solve(rel, pts, lams)
+        assert not np.isnan(y0).any()
+        # judged at unit scale, where the predicate's tolerance is relative
+        for x, y, lam in zip(pts / scale, y0 / scale, lams):
+            assert is_orthogonal(rel, x, y)
+            assert is_orthogonal(rel, x + y, lam * x - y)
+
+    @pytest.mark.parametrize("norm", ["l1", "linf"])
+    def test_slope_blocks_leave_the_split_unchanged(self, norm, monkeypatch):
+        import orthostab.orthogonality as orth
+
+        rel = birkhoff_james_relation(norm)
+        pts = split_points(12, seed=4)
+        whole = thalesian_solve(rel, pts, 1.5)
+        # one row per block
+        monkeypatch.setattr(orth, "_SLOPE_BLOCK", 1)
+        assert thalesian_solve(rel, pts, 1.5).tobytes() == whole.tobytes()
+
+    def test_linf_split_memory_stays_flat_in_dim(self):
+        import tracemalloc
+
+        # 64 rows at dim 32 have 65536 candidate scales; exact margins on
+        # all of them would build (131072, 32, 32) arrays of 1 GB each
+        rel = birkhoff_james_relation("linf")
+        pts = np.random.default_rng(8).normal(size=(64, 32))
+        tracemalloc.start()
+        try:
+            y0 = thalesian_solve(rel, pts, 1.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
+        assert not np.isnan(y0).any()
+        for x, y in zip(pts, y0):
+            assert is_orthogonal(rel, x + y, 1.5 * x - y)
+
+    @pytest.mark.parametrize("norm", ["l1", "linf"])
+    def test_no_passing_candidate_raises_with_residuals(self, norm,
+                                                        monkeypatch):
+        import orthostab.orthogonality as orth
+
+        # s = 0 leaves x + y0 = x, which x's own multiples shorten
+        monkeypatch.setattr(orth, "_split_scales",
+                            lambda spec, x, y, lam: np.zeros((len(x), 3)))
+        with pytest.raises(ThalesianNotFoundError) as err:
+            thalesian_solve(birkhoff_james_relation(norm), [1.0, -2.0, 0.5],
+                            2.0)
+        assert set(err.value.residuals) == {"first_margin", "second_margin",
+                                            "lam"}
+        assert err.value.residuals["lam"] == 2.0
 
     def test_batch_rejects_a_zero_row(self):
         xs = np.array([[1.0, 2.0], [0.0, 0.0]])
