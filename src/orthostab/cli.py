@@ -430,7 +430,12 @@ def execute(args: argparse.Namespace) -> int:
         print("error: --n-max must be nonnegative", file=sys.stderr)
         return 2
     try:
-        return _COMMANDS[args.command](args)
+        # just below the guards an intermediate can still overflow: the
+        # split probe's lam*x - y0 with lam up to 10, or f(x + y).  Every
+        # measured value is checked for finiteness, so numpy's warnings
+        # would only print ahead of that verdict
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _COMMANDS[args.command](args)
     except (DimensionMismatchError, PairGenerationError,
             ThalesianNotFoundError, EvaluationError, ValueError,
             DoublingIdentityError) as err:

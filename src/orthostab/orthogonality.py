@@ -66,8 +66,13 @@ DEFAULT_TOL = 1e-9
 
 _NORM_KINDS = ("euclidean", "l1", "linf", "weighted")
 _RELATION_KINDS = ("trivial", "inner_product", "birkhoff_james")
-# floats per block of the l1/linf split's slope arrays (2 MB each)
-_SLOPE_BLOCK = 1 << 18
+# floats per block of a row-batched temporary (2 MB each): the l1/linf
+# split's slopes, and the sampler's (rows, dim, dim) minors and margins
+_BLOCK = 1 << 18
+# rows a sampler batch takes at most: this bounds its temporaries (one
+# batch of 4096 pairs at dim 3 peaked at 1 MB, pair by pair at 0.2 MB),
+# and a batch's fixed cost stays small next to drawing its rows
+_SAMPLE_ROWS = 512
 
 class DimensionMismatchError(ValueError):
     """Vector shapes do not line up with a declared dimension."""
@@ -518,7 +523,7 @@ def _bj_splits(rel: OrthoRelation, x: np.ndarray, lam: np.ndarray):
     # candidates, up to one place of rounding either way.  The slopes
     # take rows * candidates * dim floats, so rows go in blocks
     place = np.empty(len(x), dtype=int)
-    step = max(1, _SLOPE_BLOCK // (s.shape[1] * x.shape[1]))
+    step = max(1, _BLOCK // (s.shape[1] * x.shape[1]))
     for r in (slice(i, i + step) for i in range(0, len(x), step)):
         a = x[r, None] + s[r, :, None] * y_dir[r, None]
         b = lam[r, None, None] * x[r, None] - s[r, :, None] * y_dir[r, None]
@@ -593,15 +598,6 @@ class AxiomReport:
         }
 
 
-def _random_point(rng: np.random.Generator, dim: int,
-                  radius: float) -> np.ndarray:
-    while True:
-        v = rng.normal(size=dim)
-        nv = math.sqrt(float(v @ v))
-        if nv > 1e-12:
-            return (radius * rng.uniform(0.1, 1.0) / nv) * v
-
-
 def check_axioms(rel: OrthoRelation, dim: int, n_samples: int = 256,
                  seed: int = 0, radius: float = 8.0) -> AxiomReport:
     """Probe the relation's axioms on seeded samples.
@@ -619,8 +615,7 @@ def check_axioms(rel: OrthoRelation, dim: int, n_samples: int = 256,
     if n_samples < 1:
         raise ValueError("n_samples must be at least 1")
     rng = np.random.default_rng(seed)
-    pts = np.array([_random_point(rng, dim, radius)
-                    for _ in range(max(n_samples, 4))])
+    pts = _random_points(rng, max(n_samples, 4), dim, radius)
     checks: dict[str, AxiomCheck] = {}
 
     def record(name: str, ok: np.ndarray, witness):
@@ -699,7 +694,15 @@ def sample_orthogonal_pairs(rel: OrthoRelation, dim: int, count: int,
     The first two rows are the degenerate pairs (x, 0) and (0, y);
     every relation must accept them and downstream measurements rely
     on their presence.  Remaining rows are nonzero pairs built per
-    relation kind and rechecked against the predicate.
+    relation kind: x is a random point of norm at most radius, and y
+    is an independent random point (trivial), the projection of a
+    normal vector off x (inner-product-like), or a normal vector's part
+    in the kernel of a norming functional of x, kept only with a margin
+    well inside the predicate's tolerance (l1/linf Birkhoff-James).
+
+    Rows are drawn one after another from the seeded generator, and a
+    try that fails is redrawn, up to eight times per partner; the
+    arithmetic runs on all rows at once (see ``_batched``).
     """
     if dim < 2:
         raise DimensionMismatchError("orthogonality spaces need dim >= 2")
@@ -709,56 +712,172 @@ def sample_orthogonal_pairs(rel: OrthoRelation, dim: int, count: int,
         raise ValueError("radius must be positive")
     rng = np.random.default_rng(seed)
     out = np.zeros((count, 2, dim))
-    out[0, 0] = _random_point(rng, dim, radius)
+    ends = _random_points(rng, min(count, 2), dim, radius)
+    out[0, 0] = ends[0]
     if count > 1:
-        out[1, 1] = _random_point(rng, dim, radius)
-    for i in range(2, count):
-        out[i, 0], out[i, 1] = _generate_pair(rel, rng, dim, radius)
+        out[1, 1] = ends[1]
+    _batched(rng, out[2:], lambda vs, us: _first_pairs(rel, radius, vs, us),
+             lambda: _one_pair(rel, rng, dim, radius))
     return out
 
 
-def _generate_pair(rel: OrthoRelation, rng: np.random.Generator, dim: int,
-                   radius: float):
-    x = _random_point(rng, dim, radius)
+def _draws(rng: np.random.Generator, n: int, k: int, dim: int):
+    # n rows of k draws normal(dim), uniform(0.1, 1.0) each, in the order
+    # a row takes them when none is redrawn; part j of every row is
+    # vs[j], us[j]
+    normal, uniform = rng.normal, rng.uniform
+    vs = np.empty((n * k, dim))
+    us = np.empty(n * k)
+    for i in range(n * k):
+        vs[i] = normal(size=dim)
+        us[i] = uniform(0.1, 1.0)
+    return (np.ascontiguousarray(vs.reshape(n, k, dim).transpose(1, 0, 2)),
+            us.reshape(n, k).T)
+
+
+def _batched(rng: np.random.Generator, out: np.ndarray, first_try,
+             one_row) -> None:
+    """Fill out's rows, each from its k draws of ``_draws`` or redrawn.
+
+    out has shape (n, dim), one draw a row, or (n, k, dim).  A batch draws
+    every row's first tries, and ``first_try(vs, us)`` builds all the
+    rows from them at once, with a mask of the rows that keep them.
+    The first row that does not ends the batch: the generator goes
+    back to the batch's start, the rows before that one are drawn
+    again, and ``one_row()`` builds it try by try.  So every row sees
+    the values it would see if rows were drawn one at a time, and only
+    rows that redraw run one at a time.
+    """
+    n, dim = len(out), out.shape[-1]
+    k = 1 if out.ndim == 2 else out.shape[1]
+    step = max(1, min(_SAMPLE_ROWS, _BLOCK // (dim * dim)))
+    i = 0
+    while i < n:
+        m = min(n - i, step)
+        start = rng.bit_generator.state
+        rows, ok = first_try(*_draws(rng, m, k, dim))
+        if not ok.all():
+            m = int(np.argmin(ok))
+            rng.bit_generator.state = start
+            _draws(rng, m, k, dim)
+            rows[m] = one_row()[0]
+            m += 1
+        out[i:i + m] = rows[:m]
+        i += m
+
+
+def _lengths(vs: np.ndarray):
+    # euclidean row lengths, and which rows are long enough to scale
+    nv = np.sqrt(_row_dots(vs, vs))
+    return nv, nv > 1e-12
+
+
+def _scaled(vs: np.ndarray, nv: np.ndarray, us, radius: float) -> np.ndarray:
+    # rows v of lengths nv, rescaled to lengths radius*u
+    return (radius * us / nv)[:, None] * vs
+
+
+def _random_points(rng: np.random.Generator, n: int, dim: int,
+                   radius: float) -> np.ndarray:
+    # n points in random directions at norms uniform in [0.1, 1]*radius
+    def first_try(vs, us):
+        nv, ok = _lengths(vs[0])
+        return _scaled(vs[0], nv, us[0], radius), ok
+
+    out = np.empty((n, dim))
+    _batched(rng, out, first_try, lambda: _one_point(rng, dim, radius))
+    return out
+
+
+def _one_point(rng: np.random.Generator, dim: int,
+               radius: float) -> np.ndarray:
+    # one random point as a row, its direction redrawn until it scales
+    while True:
+        v = rng.normal(size=(1, dim))
+        nv, ok = _lengths(v)
+        if ok[0]:
+            return _scaled(v, nv, rng.uniform(0.1, 1.0), radius)
+
+
+def _inner_like(rel: OrthoRelation) -> bool:
+    # partners by projection: an inner product, or a norm from one
+    return rel.kind == "inner_product" or (
+        rel.kind == "birkhoff_james"
+        and rel.norm.kind in ("euclidean", "weighted"))
+
+
+def _directions(rel: OrthoRelation, xs: np.ndarray, vs: np.ndarray):
+    # the partner direction each row x gets from a normal draw v, its
+    # euclidean length, and whether it is long enough to scale
     if rel.kind == "trivial":
-        for _ in range(8):
-            y = _random_point(rng, dim, radius)
-            if (_max_minors(x[None], y[None])
-                    > 1e-6 * _pair_scales(x[None], y[None]))[0]:
-                return x, y
-        raise PairGenerationError("could not find an independent partner")
-    if rel.kind == "inner_product" or (
-            rel.kind == "birkhoff_james"
-            and rel.norm.kind in ("euclidean", "weighted")):
+        return (vs,) + _lengths(vs)
+    if _inner_like(rel):
         w = (np.asarray(rel.norm.weights)
              if rel.kind == "birkhoff_james" and rel.norm.kind == "weighted"
-             else np.ones(dim))
-        for _ in range(8):
-            v = rng.normal(size=dim)
-            v -= (float(np.sum(w * v * x)) / float(np.sum(w * x * x))) * x
-            nv = math.sqrt(float(v @ v))
-            if nv > 1e-8:
-                return x, (radius * rng.uniform(0.1, 1.0) / nv) * v
-        raise PairGenerationError("projection degenerated repeatedly")
-
+             else 1.0)
+        ds = vs - (np.sum(w * vs * xs, axis=1)
+                   / np.sum(w * xs * xs, axis=1))[:, None] * xs
+        nd = np.sqrt(_row_dots(ds, ds))
+        return ds, nd, nd > 1e-8
     # l1/linf Birkhoff-James: x _|_ y exactly when some norming
-    # functional of x vanishes on y (James), so y is drawn from the
-    # kernel of one; accept only with a margin well inside the predicate
-    # tolerance so that rescaled copies stay orthogonal under homogeneity
-    phi = _norming_functional(rel.norm, x[None])
+    # functional of x vanishes on y (James)
+    ds = _kernel_part(_norming_functional(rel.norm, xs), vs)
+    nd = np.sqrt(_row_dots(ds, ds))
+    return ds, nd, ~(nd <= 1e-12 * np.sqrt(_row_dots(vs, vs)))
+
+
+def _accepts(rel: OrthoRelation, xs: np.ndarray, ys: np.ndarray):
+    # which scaled partners the sampler keeps, and the Birkhoff-James
+    # margins it weighed them by (None where it weighs none)
+    if rel.kind == "trivial":
+        return _max_minors(xs, ys) > 1e-6 * _pair_scales(xs, ys), None
+    if _inner_like(rel):
+        return np.ones(len(xs), dtype=bool), None
+    if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
+        # as bj_margin, which refuses such points
+        raise ValueError("point has non-finite coordinates")
+    # a margin well inside the predicate tolerance keeps rescaled
+    # copies orthogonal under homogeneity
+    m = _bj_margins(rel.norm, xs, ys)
+    return m >= -0.05 * rel.tol * (1.0 + norm_eval(rel.norm, xs)), m
+
+
+def _first_pairs(rel: OrthoRelation, radius: float, vs: np.ndarray,
+                 us: np.ndarray):
+    # every row's pair from its first tries, and which rows keep them;
+    # rows with non-finite coordinates are left to _one_pair, where
+    # _accepts may refuse them
+    nx, ok = _lengths(vs[0])
+    xs = _scaled(vs[0], nx, us[0], radius)
+    ds, nd, live = _directions(rel, xs, vs[1])
+    ys = _scaled(ds, nd, us[1], radius)
+    ok &= live & np.isfinite(xs).all(axis=1) & np.isfinite(ys).all(axis=1)
+    ok[ok] = _accepts(rel, xs[ok], ys[ok])[0]
+    return np.stack([xs, ys], axis=1), ok
+
+
+def _one_pair(rel: OrthoRelation, rng: np.random.Generator, dim: int,
+              radius: float) -> np.ndarray:
+    # one row's pair try by try, as a (1, 2, dim) batch
+    x = _one_point(rng, dim, radius)
     best_margin = -math.inf
-    accept = -0.05 * rel.tol * (1.0 + norm_eval(rel.norm, x))
     for _ in range(8):
-        u = rng.normal(size=dim)
-        y = _kernel_part(phi, u[None])[0]
-        ny = math.sqrt(float(y @ y))
-        if ny <= 1e-12 * math.sqrt(float(u @ u)):
-            continue
-        y *= radius * rng.uniform(0.1, 1.0) / ny
-        m = bj_margin(rel.norm, x, y)
-        best_margin = max(best_margin, m)
-        if m >= accept:
-            return x, y
+        if rel.kind == "trivial":
+            y = _one_point(rng, dim, radius)
+        else:
+            ds, nd, live = _directions(rel, x, rng.normal(size=(1, dim)))
+            if not live[0]:
+                continue
+            y = _scaled(ds, nd, rng.uniform(0.1, 1.0), radius)
+        ok, m = _accepts(rel, x, y)
+        if m is not None:
+            best_margin = max(best_margin, float(m[0]))
+        if ok[0]:
+            return np.stack([x, y], axis=1)
+    if rel.kind == "trivial":
+        raise PairGenerationError("could not find an independent partner")
+    if _inner_like(rel):
+        raise PairGenerationError("projection degenerated repeatedly")
     raise PairGenerationError(
         f"no Birkhoff-James partner found, best margin {best_margin:.3e}")
 

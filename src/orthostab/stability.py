@@ -641,7 +641,13 @@ def _run_pipeline(rel: OrthoRelation, f: MapHandle, g: MapHandle,
         "closure_pair_count": int(closed.shape[0]),
     }
 
-    necessity = necessity_check(parts.F, t, grid)
+    # T's even part is S's limit lam^n*phi0(2^n x) with lam = 1/4, so its
+    # doubling residual is exactly 4 times S's last raw gap (powers of
+    # two scale without rounding), and S stopped at a gap of at most
+    # cfg.tol; verdict_rtol is the rounding slack the bounds get too
+    necessity = necessity_check(
+        parts.F, t, grid,
+        doubling_tol=4.0 * cfg.tol * (1.0 + cfg.verdict_rtol))
     fingerprints = {
         "grid": _fingerprint(grid.points),
         "T": _fingerprint(t(grid.points)),

@@ -3,9 +3,12 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
+from orthostab import stability
 from orthostab.cli import _fmt, dump_json_17g, main, parse_args
+from orthostab.funcspace import MapHandle, map_sum
 
 FAST = ["--samples", "48", "--pairs", "48"]
 
@@ -133,15 +136,64 @@ class TestExitCodes:
         assert main([*argv, *FAST]) == 0
         assert capsys.readouterr().err == ""
 
+    # squared norms of lam*x - y0 (axioms) or of f(x + y) overflow
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("argv, code", [
+        (["axioms", "--relation", "inner", "--radius", "1.6e153"], 0),
+        (["axioms", "--relation", "inner", "--radius", "1.34e154"], 0),
+        (["axioms", "--relation", "trivial", "--radius", "1.6e153"], 1),
+        (["axioms", "--relation", "trivial", "--radius", "1.34e154"], 1),
+        (["axioms", "--relation", "bj:l2", "--radius", "1.6e153"], 0),
+        (["axioms", "--relation", "bj:l2", "--radius", "1.34e154"], 1),
+        (["report", "--radius", "7.9e153"], 2),
+        (["defect", "--radius", "7.9e153"], 2),
+        (["quadratic", "--radius", "7.9e153"], 2),
+    ])
+    def test_radius_below_the_guard_prints_no_warning(self, argv, code,
+                                                      capsys):
+        assert main([*argv, "--json", "-"]) == code
+        err = capsys.readouterr().err
+        if code == 2:
+            assert err == ("error: non-finite values measuring the "
+                           "equation residual\n")
+        else:
+            assert err == ""
+
     @pytest.mark.parametrize("argv", [
+        ["report", "--tol", "1e-9", "--delta", "0.01"],
+        ["report", "--tol", "1e-6", "--delta", "0.01"],
         ["report", "--tol", "1e-3", "--delta", "0.01"],
         ["cauchy", "--tol", "1e-2", "--delta", "0.1"],
-    ])
-    def test_corrector_off_doubling_identity_fails(self, argv, capsys):
-        # a loose tol stops the even extraction short of a quadratic map
-        assert main([*argv, *FAST]) == 1
+    ], ids=["report-1e-9", "report-1e-6", "report-1e-3", "cauchy-1e-2"])
+    def test_doubling_tolerance_follows_tol(self, argv, capsys):
+        # the even extraction stops once its gap is at most tol, and the
+        # corrector's doubling residual is 4 times that gap
+        assert main([*argv, *FAST, "--json", "-"]) == 0
+        doc = json.loads(capsys.readouterr().out)["report"]
+        residual = doc["necessity"]["corrector_doubling_residual"]
+        assert residual == 4.0 * doc["iterations"]["S"]["raw_gaps"][-1]
+        assert residual <= 4.0 * float(argv[2])
+
+    @pytest.mark.parametrize("command", ["report", "cauchy"])
+    def test_corrector_breaking_doubling_identity_fails(self, command,
+                                                        monkeypatch, capsys):
+        check = stability.necessity_check
+
+        def shifted(f, t, grid, doubling_tol):
+            # t + c is even and breaks the identity by 3|c|, 7.5 times
+            # the tolerance at the default tol
+            c = np.zeros(t.target_dim)
+            c[0] = 1e-9
+            const = MapHandle(lambda pts: np.broadcast_to(
+                c, pts.shape[:-1] + c.shape).copy(), t.source_dim,
+                t.target_dim, "const", "even")
+            return check(f, map_sum(t, const), grid, doubling_tol)
+
+        monkeypatch.setattr(stability, "necessity_check", shifted)
+        assert main([command, "--delta", "0.01", *FAST]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: corrector violates the doubling")
+        assert "> 4.0e-10" in err
         assert err.count("\n") == 1
 
 

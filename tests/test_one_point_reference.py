@@ -1,10 +1,12 @@
-"""The row-batched predicate against one-point references, bit for bit.
+"""The row-batched predicate and sampler against one-point references,
+bit for bit.
 
 ``is_orthogonal`` and ``check_axioms`` decide the relation's predicate
-on batches of rows.  The references below decide it one point at a
-time, with the scalar arithmetic (``math.sqrt``, ``float(x @ y)``,
-``np.outer``) that the pinned reports were made with; every verdict,
-count and witness has to agree exactly.
+on batches of rows, and ``sample_orthogonal_pairs`` builds its pairs on
+batches of rows.  The references below work one point at a time, with
+the scalar arithmetic (``math.sqrt``, ``float(x @ y)``, ``np.outer``)
+that the pinned reports were made with; every verdict, count, witness
+and sampled coordinate has to agree exactly.
 """
 
 import math
@@ -15,7 +17,8 @@ import pytest
 import orthostab.orthogonality as orth
 from orthostab.cli import dump_json_17g
 from orthostab.orthogonality import (AxiomCheck, AxiomReport, NormSpec,
-                                     OrthoRelation, ThalesianNotFoundError,
+                                     OrthoRelation, PairGenerationError,
+                                     ThalesianNotFoundError,
                                      as_point, birkhoff_james_relation,
                                      bj_margin, check_axioms,
                                      inner_product_relation, is_orthogonal,
@@ -28,6 +31,71 @@ from orthostab.orthogonality import (AxiomCheck, AxiomReport, NormSpec,
 def ref_max_minor(x, y):
     g = np.outer(x, y)
     return float(np.max(np.abs(g - g.T)))
+
+
+def ref_random_point(rng, dim, radius):
+    while True:
+        v = rng.normal(size=dim)
+        nv = math.sqrt(float(v @ v))
+        if nv > 1e-12:
+            return (radius * rng.uniform(0.1, 1.0) / nv) * v
+
+
+def ref_generate_pair(rel, rng, dim, radius):
+    x = ref_random_point(rng, dim, radius)
+    if rel.kind == "trivial":
+        for _ in range(8):
+            y = ref_random_point(rng, dim, radius)
+            scale = 1.0 + math.sqrt(float(x @ x)) * math.sqrt(float(y @ y))
+            if ref_max_minor(x, y) > 1e-6 * scale:
+                return x, y
+        raise PairGenerationError("could not find an independent partner")
+    if rel.kind == "inner_product" or (
+            rel.kind == "birkhoff_james"
+            and rel.norm.kind in ("euclidean", "weighted")):
+        w = (np.asarray(rel.norm.weights)
+             if rel.kind == "birkhoff_james" and rel.norm.kind == "weighted"
+             else np.ones(dim))
+        for _ in range(8):
+            v = rng.normal(size=dim)
+            v -= (float(np.sum(w * v * x)) / float(np.sum(w * x * x))) * x
+            nv = math.sqrt(float(v @ v))
+            if nv > 1e-8:
+                return x, (radius * rng.uniform(0.1, 1.0) / nv) * v
+        raise PairGenerationError("projection degenerated repeatedly")
+    if rel.norm.kind == "l1":
+        phi = np.sign(x)
+    else:
+        j = int(np.argmax(np.abs(x)))
+        phi = np.zeros_like(x)
+        phi[j] = np.sign(x[j])
+    best_margin = -math.inf
+    accept = -0.05 * rel.tol * (1.0 + norm_eval(rel.norm, x))
+    for _ in range(8):
+        u = rng.normal(size=dim)
+        y = u - (float(u @ phi) / float(phi @ phi)) * phi
+        ny = math.sqrt(float(y @ y))
+        if ny <= 1e-12 * math.sqrt(float(u @ u)):
+            continue
+        y *= radius * rng.uniform(0.1, 1.0) / ny
+        m = bj_margin(rel.norm, x, y)
+        best_margin = max(best_margin, m)
+        if m >= accept:
+            return x, y
+    raise PairGenerationError(
+        f"no Birkhoff-James partner found, best margin {best_margin:.3e}")
+
+
+def ref_sample_orthogonal_pairs(rel, dim, count, radius=8.0, seed=0):
+    """The sampler one pair at a time, each try drawn as it is needed."""
+    rng = np.random.default_rng(seed)
+    out = np.zeros((count, 2, dim))
+    out[0, 0] = ref_random_point(rng, dim, radius)
+    if count > 1:
+        out[1, 1] = ref_random_point(rng, dim, radius)
+    for i in range(2, count):
+        out[i, 0], out[i, 1] = ref_generate_pair(rel, rng, dim, radius)
+    return out
 
 
 def ref_directed(rel, x, y):
@@ -62,7 +130,7 @@ def ref_check_axioms(rel, dim, n_samples=256, seed=0, radius=8.0,
         return ref_is_orthogonal(rel, x, y, directed)
 
     rng = np.random.default_rng(seed)
-    pts = np.array([orth._random_point(rng, dim, radius)
+    pts = np.array([ref_random_point(rng, dim, radius)
                     for _ in range(max(n_samples, 4))])
     zero = np.zeros(dim)
     checks = {}
@@ -85,8 +153,8 @@ def ref_check_axioms(rel, dim, n_samples=256, seed=0, radius=8.0,
         "zero_orthogonal", fails == 0, 2 * len(sub) + 1, fails, wit)
 
     n_pairs = min(n_samples, 64)
-    pairs = sample_orthogonal_pairs(rel, dim, n_pairs + 2, radius=radius,
-                                    seed=seed + 1)[2:]
+    pairs = ref_sample_orthogonal_pairs(rel, dim, n_pairs + 2, radius=radius,
+                                        seed=seed + 1)[2:]
 
     wit, fails = [], 0
     for xp, yp in pairs:
@@ -229,6 +297,8 @@ def _assert_same_report(got, want):
         NormSpec.weighted([0.5, 1.0, 2.0])), 3, 20, 3, 8.0),
     # homogeneity fails: pairs sampled at 1e-6 miss a tolerance of 0.05
     ("trivial tol", OrthoRelation("trivial", tol=0.05), 3, 64, 5, 8.0),
+    # some sampled pairs redraw their partner
+    ("trivial small", trivial_relation(), 3, 64, 7, 0.01),
 ])
 def test_check_axioms_matches_one_point_reference(name, rel, dim, n, seed,
                                                   radius):
@@ -369,3 +439,73 @@ def test_exact_split_fails_no_row_the_bisection_splits(norm, dim, scale):
         split += 1
         assert not np.isnan(y0).any()
     assert split > 0
+
+
+def _sampled(sample, rel, dim, count, radius, seed):
+    """The pairs' bytes, or the type and message of what was raised."""
+    try:
+        with np.errstate(all="ignore"):
+            return sample(rel, dim, count, radius, seed).tobytes()
+    except (PairGenerationError, ValueError) as err:
+        return type(err).__name__, str(err)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 8, 17, 64])
+@pytest.mark.parametrize("name", ["trivial", "inner", "bj:l2", "bj:weighted",
+                                  "bj:l1", "bj:linf"])
+def test_sampler_matches_one_pair_reference(name, dim):
+    rel = {"trivial": trivial_relation(), "inner": inner_product_relation(),
+           "bj:l2": birkhoff_james_relation(),
+           "bj:weighted": birkhoff_james_relation(
+               NormSpec.weighted(np.linspace(0.5, 3.0, dim))),
+           "bj:l1": birkhoff_james_relation("l1"),
+           "bj:linf": birkhoff_james_relation("linf")}[name]
+    count = 40 if dim <= 8 else 12
+    # trivial partners in high dims at radius 0.01 have minors near 1e-6
+    # and may run out of retries; the message has to match then
+    for radius in (8.0, 0.01, 3e100):
+        for seed in range(10):
+            assert (_sampled(sample_orthogonal_pairs, rel, dim, count, radius,
+                             seed)
+                    == _sampled(ref_sample_orthogonal_pairs, rel, dim, count,
+                                radius, seed)), (radius, seed)
+
+
+@pytest.mark.parametrize("block", [None, 9 * 5])
+def test_redrawn_rows_rewind_the_batch(block, monkeypatch):
+    # at radius 0.01 a trivial pair's minor falls below 1e-6*(1 + |x||y|)
+    # now and then, and its partner is redrawn
+    one_pair = orth._one_pair
+    redrawn = []
+
+    def counting(*args):
+        redrawn.append(args)
+        return one_pair(*args)
+
+    monkeypatch.setattr(orth, "_one_pair", counting)
+    if block is not None:
+        # batches of five rows at dim 3
+        monkeypatch.setattr(orth, "_BLOCK", block)
+    rel = trivial_relation()
+    for seed in range(25):
+        want = ref_sample_orthogonal_pairs(rel, 3, 200, 0.01, seed)
+        got = sample_orthogonal_pairs(rel, 3, 200, 0.01, seed)
+        assert got.tobytes() == want.tobytes(), seed
+    assert len(redrawn) == 28
+
+
+@pytest.mark.parametrize("rel, dim, radius", [
+    # no independent partner: every minor is below 1e-6
+    (trivial_relation(), 3, 1e-100),
+    # no margin passes -0.05*tol*(1 + ||x||) at this tolerance
+    (OrthoRelation("birkhoff_james", NormSpec.l1(), 1e-300), 3, 8.0),
+    # points overflow: bj_margin refuses them
+    (birkhoff_james_relation("l1"), 2, 1.7e308),
+    (birkhoff_james_relation("linf"), 2, 1e308),
+])
+def test_sampler_fails_as_the_reference_does(rel, dim, radius):
+    outcomes = [_sampled(sample_orthogonal_pairs, rel, dim, 12, radius, s)
+                for s in range(4)]
+    assert outcomes == [_sampled(ref_sample_orthogonal_pairs, rel, dim, 12,
+                                 radius, s) for s in range(4)]
+    assert any(isinstance(out, tuple) for out in outcomes)

@@ -444,7 +444,7 @@ class TestThalesian:
         pts = split_points(12, seed=4)
         whole = thalesian_solve(rel, pts, 1.5)
         # one row per block
-        monkeypatch.setattr(orth, "_SLOPE_BLOCK", 1)
+        monkeypatch.setattr(orth, "_BLOCK", 1)
         assert thalesian_solve(rel, pts, 1.5).tobytes() == whole.tobytes()
 
     def test_linf_split_memory_stays_flat_in_dim(self):
