@@ -10,7 +10,9 @@ Subcommands:
 * ``quadratic``  the purely quadratic specialization
 
 Exit codes: 0 all verified, 1 a bound, an axiom or the corrector's
-doubling identity failed, 2 bad input, 3 an extraction diverged.
+doubling identity failed, 2 bad input or an internal error, 3 an
+extraction diverged.  A run prints at most one ``error:`` line and
+never a traceback.
 
 ``--json PATH`` (or ``-`` for stdout) writes a machine-readable report;
 floats are rendered with 17 significant digits and no timestamps are
@@ -442,6 +444,12 @@ def execute(args: argparse.Namespace) -> int:
         print(f"error: {err}", file=sys.stderr)
         # a corrector failing its doubling identity is a failed check
         return 1 if isinstance(err, DoublingIdentityError) else 2
+    except Exception as err:
+        # exit 1 means a failed bound, so an unforeseen fault must not
+        # end with the interpreter's traceback and its exit code 1
+        print(f"error: internal error: {type(err).__name__}: {err}",
+              file=sys.stderr)
+        return 2
 
 
 def main(argv=None) -> int:

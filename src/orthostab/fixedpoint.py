@@ -9,7 +9,15 @@ Picard iterate J^n phi only ever needs phi's values on 2^n times the
 grid, so the iteration walks outward through doubled copies of the
 base points instead of ever composing callables n levels deep.
 
-``iterate`` reports three verdicts.  "converged" means the gap between
+``iterate_lockstep`` advances several (operator, phi0) pairs level by
+level over one grid: every run still on the ladder is evaluated on the
+same point array 2^n * grid, inside one evaluation scope per level, so
+a leaf map that several phi0 share (both parities of one noise map,
+the quadratic part of f and of g) is evaluated once per level.  A run
+leaves the ladder when it stops or when evaluating its phi0 raises;
+the others go on.  ``iterate`` is its one-run case.
+
+A run reports three verdicts.  "converged" means the gap between
 consecutive iterates fell below tolerance; "diverged" means the gap
 blew past the cap (the alternative branch of the fixed-point dichotomy,
 reached e.g. for cubic-order growth); "iteration-budget-exhausted"
@@ -24,17 +32,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from .funcspace import (DEFAULT_CAP, INFINITE, EvaluationError, MapHandle,
-                        SampleGrid, map_scale, map_sum, sup_distance)
+                        SampleGrid, evaluation_scope, map_sum, sup_distance)
 
 __all__ = [
     "ScalingOperator",
     "IterationResult",
     "apply",
     "iterate",
+    "iterate_lockstep",
     "apriori_bound",
 ]
 
@@ -73,7 +83,8 @@ def apply(op: ScalingOperator, phi: MapHandle) -> MapHandle:
     lam = op.lam
     scaled = MapHandle(lambda pts, _f=phi, _l=lam: _l * _f(2.0 * pts),
                        phi.source_dim, phi.target_dim,
-                       label=f"J[{phi.label}]", parity=phi.parity)
+                       label=f"J[{phi.label}]", parity=phi.parity,
+                       _derived=True)
     return scaled
 
 
@@ -110,41 +121,95 @@ def iterate(op: ScalingOperator, phi0: MapHandle, grid: SampleGrid,
     at level 0, otherwise the handle x -> lam^n * phi0(2^n x) with
     phi0's parity, which is the numerically converged iterate.
     """
-    _require_anchored(phi0)
+    (out,) = iterate_lockstep([(op, phi0)], grid, tol=tol, n_max=n_max,
+                              cap=cap)
+    if isinstance(out, Exception):
+        raise out
+    return out
+
+
+def iterate_lockstep(runs: Sequence[tuple[ScalingOperator, MapHandle]],
+                     grid: SampleGrid, tol: float = 1e-10, n_max: int = 40,
+                     cap: float = DEFAULT_CAP) -> list:
+    """Run the Picard iterations of several (op, phi0) pairs in lockstep.
+
+    Each run goes through exactly the steps ``iterate`` describes, with
+    the same arithmetic, so its result does not depend on the other
+    runs.  Level n evaluates every run still going on one shared array
+    2^n * grid inside one evaluation scope.  Returns, in the order of
+    ``runs``, each run's IterationResult or the exception that run
+    raised (an unanchored phi0, non-finite values), so that a caller
+    can report the failures in the order it would have met them one
+    run at a time.
+    """
     if not (tol > 0.0 and math.isfinite(tol)):
         raise ValueError("tol must be positive and finite")
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
 
     pts = grid.points
-    lam = op.lam
-    raw_c: list[float] = []
-    verdict = "iteration-budget-exhausted"
-    n_stop = n_max
-    lam_pow = 1.0
-    cur = phi0(pts)
-    if not np.all(np.isfinite(cur)):
-        raise EvaluationError("phi0 is non-finite on the base grid")
+    count = len(runs)
+    # per run: its outcome (a verdict or an exception; None while it
+    # goes on), its last iterate's values, c_n so far and lam^n
+    outcome: list = [None] * count
+    cur: list = [None] * count
+    raw_c: list = [[] for _ in runs]
+    lam_pow = [1.0] * count
+    n_stop = [n_max] * count
+    for i, (_, phi0) in enumerate(runs):
+        try:
+            _require_anchored(phi0)
+        except Exception as err:
+            outcome[i] = err
+    with evaluation_scope():
+        for i, (_, phi0) in enumerate(runs):
+            if outcome[i] is None:
+                try:
+                    cur[i] = _finite(phi0(pts), "base grid")
+                except Exception as err:
+                    outcome[i] = err
     for n in range(n_max + 1):
-        nxt = phi0((2.0 ** (n + 1)) * pts)
-        if not np.all(np.isfinite(nxt)):
-            raise EvaluationError(
-                f"phi0 is non-finite on the level-{n + 1} grid")
-        diff = cur - lam * nxt
-        c_n = float(np.max(np.sqrt(np.sum(diff * diff, axis=-1))))
-        raw_c.append(c_n)
-        gap = lam_pow * c_n
-        if gap <= tol:
-            verdict = "converged"
-            n_stop = n
+        going = [i for i in range(count) if outcome[i] is None]
+        if not going:
             break
-        if gap > cap:
-            verdict = "diverged"
-            n_stop = n
-            break
-        cur = nxt
-        lam_pow = lam_pow * lam
+        level = (2.0 ** (n + 1)) * pts
+        with evaluation_scope():
+            for i in going:
+                op, phi0 = runs[i]
+                try:
+                    nxt = _finite(phi0(level), f"level-{n + 1} grid")
+                except Exception as err:
+                    outcome[i] = err
+                    continue
+                diff = cur[i] - op.lam * nxt
+                c_n = float(np.max(np.sqrt(np.sum(diff * diff, axis=-1))))
+                raw_c[i].append(c_n)
+                gap = lam_pow[i] * c_n
+                if gap <= tol:
+                    outcome[i], n_stop[i] = "converged", n
+                elif gap > cap:
+                    outcome[i], n_stop[i] = "diverged", n
+                else:
+                    cur[i] = nxt
+                    lam_pow[i] = lam_pow[i] * op.lam
+    results = []
+    for (op, phi0), out, c, stop in zip(runs, outcome, raw_c, n_stop):
+        if out is None:
+            out = "iteration-budget-exhausted"
+        results.append(out if isinstance(out, Exception)
+                       else _result(op, phi0, c, out, stop, n_max))
+    return results
 
+
+def _finite(vals: np.ndarray, where: str) -> np.ndarray:
+    if not np.all(np.isfinite(vals)):
+        raise EvaluationError(f"phi0 is non-finite on the {where}")
+    return vals
+
+
+def _result(op: ScalingOperator, phi0: MapHandle, raw_c: list,
+            verdict: str, n_stop: int, n_max: int) -> IterationResult:
+    lam = op.lam
     # suffix maxima turn consecutive gaps into distances to the final
     # iterate over the doubled sample set; lam^n scaling is exact for
     # power-of-two lam, so the geometric-decay invariant holds exactly
@@ -154,7 +219,7 @@ def iterate(op: ScalingOperator, phi0: MapHandle, grid: SampleGrid,
     per_step: list[float] = []
     raw_gaps: list[float] = []
     pw = 1.0
-    for i, (m, c) in enumerate(zip(suffix, raw_c)):
+    for m, c in zip(suffix, raw_c):
         per_step.append(pw * m)
         raw_gaps.append(pw * c)
         pw = pw * lam
@@ -172,7 +237,8 @@ def iterate(op: ScalingOperator, phi0: MapHandle, grid: SampleGrid,
         limit = MapHandle(
             lambda p, _f=phi0, _a=factor, _s=scale: _a * _f(_s * p),
             phi0.source_dim, phi0.target_dim,
-            label=f"limit[{phi0.label}]", parity=phi0.parity)
+            label=f"limit[{phi0.label}]", parity=phi0.parity,
+            _derived=True)
     return IterationResult(verdict, verdict == "converged", n_stop, lam,
                            limit, per_step, raw_gaps)
 

@@ -9,6 +9,18 @@ even-tagged terms, at zero floating-point cost and zero rounding noise.
 Untagged maps fall back to the pointwise formulas
 even(f)(x) = (f(x) + f(-x))/2 and odd(f)(x) = (f(x) - f(-x))/2.
 
+A handle built from a callable of its own (a noise map, an additive or
+a quadratic map) is a *leaf*; the handles that scaling, parity
+projections and the fixed-point layer build around other handles are
+derived, and only combine their values.  Inside an
+``evaluation_scope`` block each leaf is evaluated at most once per
+point array: a second call of the same handle on the same array object
+returns the stored value, read-only.  The scope also negates each
+point array once, so the even and the odd part of one untagged leaf
+share its evaluations at x and at -x.  The stored values belong to the
+block and are dropped when it exits; point arrays must not change
+while it is open.  Outside a block every call evaluates afresh.
+
 The module also provides the sample grids that stand in for the domain
 and the capped sup distance that stands in for the uniform norm.  A
 distance exceeding the cap is reported as ``math.inf`` (the generalized
@@ -18,6 +30,8 @@ metric used by the fixed-point machinery allows infinite values).
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -30,6 +44,7 @@ __all__ = [
     "DEFAULT_CAP",
     "EvaluationError",
     "MapHandle",
+    "evaluation_scope",
     "zero_map",
     "map_sum",
     "map_scale",
@@ -47,6 +62,49 @@ DEFAULT_CAP = 1e12
 
 _PARITIES = (None, "even", "odd")
 
+# the open evaluation scope, None outside one.  It maps
+# (leaf handle, id(points)) -> (points, value) and (None, id(points))
+# -> (points, -points); holding the points keeps their id from being
+# reused while the entry lives, and the key holds the handle itself
+_SCOPE: ContextVar[dict | None] = ContextVar("orthostab_evaluation_scope",
+                                             default=None)
+
+
+@contextmanager
+def evaluation_scope():
+    """Evaluate each leaf map at most once per point array in the block.
+
+    Values are stored for the same handle object and the same point
+    array object, and handed out read-only.  Each block starts empty,
+    a nested block included, and everything it stored is dropped when
+    it exits, so a scope should span the calls that share one point
+    set and no more.
+    """
+    token = _SCOPE.set({})
+    try:
+        yield
+    finally:
+        _SCOPE.reset(token)
+
+
+def _readonly(arr: np.ndarray) -> np.ndarray:
+    # a view, so that a caller's own array keeps its flags
+    view = arr.view()
+    view.flags.writeable = False
+    return view
+
+
+def _negated(pts: np.ndarray) -> np.ndarray:
+    """-pts, computed once per point array inside an evaluation scope."""
+    scope = _SCOPE.get()
+    if scope is None:
+        return -pts
+    key = (None, id(pts))
+    hit = scope.get(key)
+    if hit is None:
+        hit = scope[key] = (pts, _readonly(-pts))
+    return hit[1]
+
 
 class EvaluationError(RuntimeError):
     """A map produced non-finite values or a wrongly shaped array."""
@@ -60,7 +118,10 @@ class MapHandle:
     (..., source_dim) to (..., target_dim)) or ``terms`` (a tuple of
     summand handles, evaluated left to right) is set; the all-zero map
     carries neither.  Handles are immutable by convention: operators
-    return new handles and never mutate.
+    return new handles and never mutate.  ``_derived`` marks a handle
+    whose ``fn`` only combines the values of other handles (a scaled
+    map, a parity projection, a rescaled iterate); every other handle
+    with ``fn`` is a leaf, whose values an evaluation scope stores.
     """
 
     fn: Callable[[np.ndarray], np.ndarray] | None
@@ -71,6 +132,7 @@ class MapHandle:
     terms: tuple = None
     _is_zero: bool = field(default=False, repr=False)
     _v0: np.ndarray | None = field(default=None, repr=False)
+    _derived: bool = field(default=False, repr=False)
 
     def __post_init__(self):
         if self.parity not in _PARITIES:
@@ -93,6 +155,16 @@ class MapHandle:
             for t in self.terms[1:]:
                 out = out + t(arr)
             return out
+        scope = None if self._derived else _SCOPE.get()
+        if scope is None:
+            return self._evaluate(arr)
+        key = (self, id(arr))
+        hit = scope.get(key)
+        if hit is None:
+            hit = scope[key] = (arr, _readonly(self._evaluate(arr)))
+        return hit[1]
+
+    def _evaluate(self, arr: np.ndarray) -> np.ndarray:
         out = np.asarray(self.fn(arr), dtype=float)
         want = arr.shape[:-1] + (self.target_dim,)
         if out.shape != want:
@@ -183,7 +255,8 @@ def map_scale(c: float, m: MapHandle, label: str = "") -> MapHandle:
                          terms=tuple(map_scale(c, t) for t in m.terms))
     return MapHandle(lambda pts, _f=m, _c=c: _c * _f(pts),
                      m.source_dim, m.target_dim,
-                     label=label or f"{c:g}*{m.label}", parity=m.parity)
+                     label=label or f"{c:g}*{m.label}", parity=m.parity,
+                     _derived=True)
 
 
 def shift_to_zero(f: MapHandle, label: str = "") -> MapHandle:
@@ -217,9 +290,9 @@ def even_part(f: MapHandle) -> MapHandle:
     if f.terms is not None:
         return map_sum(*[even_part(t) for t in f.terms],
                        label=f"even({f.label})")
-    return MapHandle(lambda pts, _f=f: 0.5 * (_f(pts) + _f(-pts)),
+    return MapHandle(lambda pts, _f=f: 0.5 * (_f(pts) + _f(_negated(pts))),
                      f.source_dim, f.target_dim,
-                     label=f"even({f.label})", parity="even")
+                     label=f"even({f.label})", parity="even", _derived=True)
 
 
 def odd_part(f: MapHandle) -> MapHandle:
@@ -231,9 +304,9 @@ def odd_part(f: MapHandle) -> MapHandle:
     if f.terms is not None:
         return map_sum(*[odd_part(t) for t in f.terms],
                        label=f"odd({f.label})")
-    return MapHandle(lambda pts, _f=f: 0.5 * (_f(pts) - _f(-pts)),
+    return MapHandle(lambda pts, _f=f: 0.5 * (_f(pts) - _f(_negated(pts))),
                      f.source_dim, f.target_dim,
-                     label=f"odd({f.label})", parity="odd")
+                     label=f"odd({f.label})", parity="odd", _derived=True)
 
 
 @dataclass(frozen=True)

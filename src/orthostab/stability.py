@@ -59,10 +59,11 @@ from typing import Sequence
 import numpy as np
 
 from .fixedpoint import (IterationResult, ScalingOperator, apriori_bound,
-                         iterate)
+                         iterate, iterate_lockstep)
 from .funcspace import (DEFAULT_CAP, EvaluationError, MapHandle, SampleGrid,
-                        even_part, make_grid, map_scale, map_sum, odd_part,
-                        shift_to_zero, sup_distance, sup_norm, zero_map)
+                        evaluation_scope, even_part, make_grid, map_scale,
+                        map_sum, odd_part, shift_to_zero, sup_distance,
+                        sup_norm, zero_map)
 from .orthogonality import (OrthoRelation, inner_product_relation,
                             sample_orthogonal_pairs, symmetrize_relation,
                             relation_descriptor, thalesian_solve)
@@ -302,6 +303,35 @@ def derive_normalized_parts(f: MapHandle, g: MapHandle, h: MapHandle,
     )
 
 
+def _parity_residuals(parts: NormalizedParts,
+                      pairs: np.ndarray) -> tuple[float, float]:
+    """The equation residuals of the odd and of the even projections.
+
+    Both are accumulated one argument slot at a time (x+y, x-y, x, y),
+    each slot in an evaluation scope of its own, so the two parts of a
+    map share its leaf evaluations on that slot.  Each sum keeps the
+    order ((f + g) - h) - k of ``pexider_defect``.
+    """
+    xs, ys = pairs[:, 0, :], pairs[:, 1, :]
+
+    def add_slot(sums, combine, odd_map, even_map, pts):
+        with evaluation_scope():
+            odd, even = odd_map(pts), even_map(pts)
+        # added after the scope has dropped the slot's leaf values, so
+        # the new sums are never made while those are still held
+        return combine(sums[0], odd), combine(sums[1], even)
+
+    with evaluation_scope():
+        pts = xs + ys
+        sums = parts.Fo(pts), parts.Fe(pts)
+    del pts
+    sums = add_slot(sums, np.add, parts.Go, parts.Ge, xs - ys)
+    sums = add_slot(sums, np.subtract, parts.Ho, parts.He, xs)
+    sums = add_slot(sums, np.subtract, parts.Ko, parts.Ke, ys)
+    return (_max_row_norm(sums[0], "the equation residual"),
+            _max_row_norm(sums[1], "the equation residual"))
+
+
 def extract_odd(phi: MapHandle, grid: SampleGrid, tol: float = 1e-10,
                 n_max: int = 40, cap: float = DEFAULT_CAP):
     """Additive extraction: Picard limit under phi -> phi(2x)/2."""
@@ -520,6 +550,17 @@ def _joint_even_doubling(rel: OrthoRelation, Fe: MapHandle, Ge: MapHandle,
 def _run_pipeline(rel: OrthoRelation, f: MapHandle, g: MapHandle,
                   h: MapHandle, k: MapHandle, cfg: PipelineConfig,
                   coeffs: dict, corollary: str) -> StabilityReport:
+    """One pipeline run; the main theorem and its corollaries share it.
+
+    Where several measurements read the same leaf maps on one point
+    set, they run inside one evaluation scope, so each leaf is
+    evaluated once on it: the odd and the even residual take the
+    closure pairs' slots x+y, x-y, x and y one at a time, and the four
+    extractions climb the dyadic ladder 2^n * grid in lockstep, one
+    scope per level.  A failed extraction is raised for the first of
+    R, R', S, S' that fails, with the error one run after another
+    would give.  The remaining measurements evaluate afresh.
+    """
     _require_compatible(rel)
     _require_same_space([f, g, h, k])
     dim = f.source_dim
@@ -541,35 +582,44 @@ def _run_pipeline(rel: OrthoRelation, f: MapHandle, g: MapHandle,
     def gap(a: MapHandle, b: MapHandle) -> float:
         return sup_distance(a, b, grid, cap=cfg.cap)
 
+    # the shifted quadruple is the input itself when every map already
+    # vanishes at 0, and then its residual is eps, computed the same way
+    unshifted = all(a is b for a, b in zip(
+        (parts.F, parts.G, parts.H, parts.K), (f, g, h, k)))
+    shifted_residual = eps if unshifted else pexider_defect(
+        parts.F, parts.G, parts.H, parts.K, closed)
+    odd_residual, even_residual = _parity_residuals(parts, closed)
     # distance name -> measured value, in the order of MAIN_BOUND_COEFFS
     measured: dict[str, float | None] = {
-        "shifted_residual": pexider_defect(
-            parts.F, parts.G, parts.H, parts.K, closed),
-        "odd_part_residual": pexider_defect(
-            parts.Fo, parts.Go, parts.Ho, parts.Ko, closed),
-        "even_part_residual": pexider_defect(
-            parts.Fe, parts.Ge, parts.He, parts.Ke, closed),
+        "shifted_residual": shifted_residual,
+        "odd_part_residual": odd_residual,
+        "even_part_residual": even_residual,
         "f_odd_vs_mean": gap(parts.Fo, parts.Lo),
         "even_sum_vs_mean": gap(map_sum(parts.Fe, parts.Ge), parts.Le),
     }
 
+    # the four extractions climb the dyadic ladder in lockstep; failures
+    # are raised in the order R, R', S, S', as one run after another
+    # would have met them
+    extractions = (("R", parts.Fo, 0.5), ("R_prime", parts.Go, 0.5),
+                   ("S", parts.Fe, 0.25), ("S_prime", parts.Ge, 0.25))
+    outcomes = iterate_lockstep(
+        [(ScalingOperator(lam), phi) for _, phi, lam in extractions], grid,
+        tol=cfg.tol, n_max=cfg.n_max, cap=cfg.cap)
     iterations: dict[str, dict] = {}
     limits = []
-    for name, phi, extractor in (("R", parts.Fo, extract_odd),
-                                 ("R_prime", parts.Go, extract_odd),
-                                 ("S", parts.Fe, extract_even),
-                                 ("S_prime", parts.Ge, extract_even)):
-        limit, res = extractor(phi, grid, tol=cfg.tol, n_max=cfg.n_max,
-                               cap=cfg.cap)
+    for (name, phi, _), res in zip(extractions, outcomes):
+        if isinstance(res, Exception):
+            raise res
         if res.verdict != "converged":
             raise DivergenceError(name, res)
-        limits.append(limit)
+        limits.append(res.limit)
         iterations[name] = {
             "verdict": res.verdict,
             "lam": res.lam,
             "n_steps": res.n_steps,
             "apriori": apriori_bound(phi, ScalingOperator(res.lam), grid),
-            "final_distance": gap(phi, limit),
+            "final_distance": gap(phi, res.limit),
             "per_step_distances": res.per_step_distances,
             "raw_gaps": res.raw_gaps,
         }
@@ -583,16 +633,17 @@ def _run_pipeline(rel: OrthoRelation, f: MapHandle, g: MapHandle,
     witnesses = _split_witness_points(rel, grid, cfg)
     joint = _joint_even_doubling(rel, parts.Fe, parts.Ge, witnesses)
     measured.update({
-        "f_odd_gap": gap(parts.Fo, r),
-        "g_odd_gap": gap(parts.Go, r2),
+        # each extract's gap to its input is its final_distance
+        "f_odd_gap": iterations["R"]["final_distance"],
+        "g_odd_gap": iterations["R_prime"]["final_distance"],
         "mean_odd_gap": gap(parts.Lo, r),
         # left out of the bounds when no witness split
         "joint_even_doubling": (
             _max_row_norm(joint, "the joint doubling defect")
             if len(joint) else None),
         "g_even_doubling": _doubling_residual(parts.Ge, grid.points, 4.0),
-        "g_even_gap": gap(parts.Ge, s2),
-        "f_even_gap": gap(parts.Fe, s),
+        "g_even_gap": iterations["S_prime"]["final_distance"],
+        "f_even_gap": iterations["S"]["final_distance"],
         "mean_even_gap": gap(parts.Le, map_sum(s, s2)),
         "f_total_gap": gap(parts.F, t),
         "g_total_gap": gap(parts.G, t2),

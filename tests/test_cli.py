@@ -1,12 +1,16 @@
 """Command-line interface: exit codes, serialization, determinism."""
 
+import contextlib
+import io
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from orthostab import stability
+from orthostab import cli, stability
 from orthostab.cli import _fmt, dump_json_17g, main, parse_args
 from orthostab.funcspace import MapHandle, map_sum
 
@@ -195,6 +199,55 @@ class TestExitCodes:
         assert err.startswith("error: corrector violates the doubling")
         assert "> 4.0e-10" in err
         assert err.count("\n") == 1
+
+
+class TestTopLevelGuard:
+    def test_unexpected_exception_is_one_error_line(self, monkeypatch,
+                                                   capsys):
+        def broken(*args, **kwargs):
+            return 1 / 0
+
+        monkeypatch.setattr(cli, "random_ground_truth", broken)
+        assert main(["report", *FAST]) == 2
+        err = capsys.readouterr().err
+        assert err == ("error: internal error: ZeroDivisionError: "
+                       "division by zero\n")
+
+    @pytest.mark.parametrize("exc", [KeyboardInterrupt, SystemExit])
+    def test_interrupt_and_exit_pass_through(self, exc, monkeypatch):
+        def stop(*args, **kwargs):
+            raise exc()
+
+        monkeypatch.setattr(cli, "random_ground_truth", stop)
+        with pytest.raises(exc):
+            main(["report", *FAST])
+
+    # every exit code is documented and every failure is one error line;
+    # an exception escaping main fails the test as a traceback would
+    @settings(max_examples=60, deadline=None)
+    @given(command=st.sampled_from(["report", "extract", "axioms"]),
+           relation=st.sampled_from(["trivial", "inner", "bj:l1", "bj:l2",
+                                     "bj:linf"]),
+           # most runs at moderate radii; the rest reach both guards
+           exponent=st.one_of(st.integers(-8, 8), st.integers(-320, 320)),
+           dim=st.integers(2, 8),
+           delta=st.floats(0.0, 1.0),
+           pairs=st.integers(2, 24),
+           samples=st.integers(2, 24),
+           seed=st.integers(0, 10 ** 6))
+    def test_documented_exit_codes(self, command, relation, exponent, dim,
+                                   delta, pairs, samples, seed):
+        argv = [command, "--relation", relation, "--radius", f"1e{exponent}",
+                "--dim", str(dim), "--delta", repr(delta), "--pairs",
+                str(pairs), "--samples", str(samples), "--seed", str(seed),
+                "--json", "-"]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 1, 2, 3)
+        text = err.getvalue()
+        assert "Traceback" not in text
+        assert text.count("error:") <= 1
 
 
 class TestSerialization:

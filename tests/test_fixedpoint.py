@@ -1,14 +1,18 @@
 """Rescaling-operator tests: exact fixed points, contraction, divergence."""
 
+import math
+
 import numpy as np
 import pytest
 
-from orthostab.fixedpoint import (ScalingOperator, apply, apriori_bound,
-                                  iterate)
-from orthostab.funcspace import (MapHandle, make_grid, map_sum, sup_distance,
-                                 zero_map)
-from orthostab.perturb import (make_additive, make_bounded_noise,
-                               make_cubic_growth, make_quadratic)
+from orthostab.fixedpoint import (IterationResult, ScalingOperator, apply,
+                                  apriori_bound, iterate, iterate_lockstep)
+from orthostab.funcspace import (EvaluationError, MapHandle, make_grid,
+                                 map_sum, sup_distance, zero_map)
+from orthostab.perturb import (compose_pexider_instance, make_additive,
+                               make_bounded_noise, make_cubic_growth,
+                               make_quadratic, random_ground_truth)
+from orthostab.stability import derive_normalized_parts
 
 
 @pytest.fixture
@@ -156,3 +160,134 @@ class TestAprioriBound:
             assert res.verdict == "converged"
             d = sup_distance(phi, res.limit, grid)
             assert d <= apriori_bound(phi, op, grid) + 1e-10
+
+
+def ref_iterate(op, phi0, grid, tol=1e-10, n_max=40, cap=1e12):
+    """The one-map Picard loop as it stood before the lockstep ladder."""
+    if phi0.value_at_zero.any():
+        raise ValueError(
+            f"operator domain requires phi(0) = 0, got map {phi0.label!r} "
+            "with a nonzero value at the origin")
+    if not (tol > 0.0 and math.isfinite(tol)):
+        raise ValueError("tol must be positive and finite")
+    if n_max < 0:
+        raise ValueError("n_max must be nonnegative")
+    pts = grid.points
+    lam = op.lam
+    raw_c = []
+    verdict = "iteration-budget-exhausted"
+    n_stop = n_max
+    lam_pow = 1.0
+    cur = phi0(pts)
+    if not np.all(np.isfinite(cur)):
+        raise EvaluationError("phi0 is non-finite on the base grid")
+    for n in range(n_max + 1):
+        nxt = phi0((2.0 ** (n + 1)) * pts)
+        if not np.all(np.isfinite(nxt)):
+            raise EvaluationError(
+                f"phi0 is non-finite on the level-{n + 1} grid")
+        diff = cur - lam * nxt
+        c_n = float(np.max(np.sqrt(np.sum(diff * diff, axis=-1))))
+        raw_c.append(c_n)
+        gap = lam_pow * c_n
+        if gap <= tol:
+            verdict = "converged"
+            n_stop = n
+            break
+        if gap > cap:
+            verdict = "diverged"
+            n_stop = n
+            break
+        cur = nxt
+        lam_pow = lam_pow * lam
+    suffix = list(raw_c)
+    for i in range(len(suffix) - 2, -1, -1):
+        suffix[i] = max(suffix[i], suffix[i + 1])
+    per_step, raw_gaps, pw = [], [], 1.0
+    for m, c in zip(suffix, raw_c):
+        per_step.append(pw * m)
+        raw_gaps.append(pw * c)
+        pw = pw * lam
+    if verdict == "diverged":
+        return IterationResult(verdict, False, n_stop, lam, None, per_step,
+                               raw_gaps)
+    if n_stop == 0 and verdict == "converged":
+        limit = phi0
+    else:
+        n_lim = n_stop if verdict == "converged" else n_max
+        factor, scale = lam ** n_lim, 2.0 ** n_lim
+        limit = MapHandle(lambda p: factor * phi0(scale * p),
+                          phi0.source_dim, phi0.target_dim)
+    return IterationResult(verdict, verdict == "converged", n_stop, lam,
+                           limit, per_step, raw_gaps)
+
+
+def pexider_runs(cubic=None):
+    """(op, phi0) for R, R', S and S' of a noisy pexider instance, whose
+    four phi0 share the leaves a, p and both parities of two noises."""
+    f, g, h, k = compose_pexider_instance(
+        random_ground_truth(3, delta=0.01, seed=5))
+    if cubic is not None:
+        f = map_sum(f, make_cubic_growth(cubic, 3, 3))
+    parts = derive_normalized_parts(f, g, h, k)
+    return [(ScalingOperator(0.5), parts.Fo), (ScalingOperator(0.5), parts.Go),
+            (ScalingOperator(0.25), parts.Fe),
+            (ScalingOperator(0.25), parts.Ge)]
+
+
+def assert_same_result(got, want, grid):
+    assert got.verdict == want.verdict
+    assert got.converged == want.converged
+    assert got.n_steps == want.n_steps
+    assert got.lam == want.lam
+    assert got.raw_gaps == want.raw_gaps
+    assert got.per_step_distances == want.per_step_distances
+    if want.limit is None:
+        assert got.limit is None
+    else:
+        assert np.array_equal(got.limit(grid.points),
+                              want.limit(grid.points))
+
+
+class TestLockstep:
+    @pytest.mark.parametrize("runs, kwargs, verdicts", [
+        (pexider_runs(), {}, ["converged"] * 4),
+        # the cubic term is even: S diverges, the others converge
+        (pexider_runs(cubic=1.0), {},
+         ["converged", "converged", "diverged", "converged"]),
+        (pexider_runs(), {"tol": 1e-30, "n_max": 5},
+         ["iteration-budget-exhausted"] * 4),
+        (pexider_runs(), {"n_max": 0}, ["iteration-budget-exhausted"] * 4),
+        ([(ScalingOperator(0.5), noisy_odd()),
+          (ScalingOperator(0.25), make_cubic_growth(1.0, 3, 3)),
+          (ScalingOperator(0.25), noisy_even()),
+          (ScalingOperator(0.5), make_additive(np.eye(3)))], {},
+         ["converged", "diverged", "converged", "converged"]),
+    ], ids=["converged", "diverged", "budget", "n_max-0", "mixed"])
+    def test_equals_one_map_runs(self, grid, runs, kwargs, verdicts):
+        together = iterate_lockstep(runs, grid, **kwargs)
+        assert [res.verdict for res in together] == verdicts
+        for (op, phi0), res in zip(runs, together):
+            assert_same_result(res, iterate(op, phi0, grid, **kwargs), grid)
+            assert_same_result(res, ref_iterate(op, phi0, grid, **kwargs),
+                               grid)
+
+    def test_failed_run_leaves_the_others_alone(self, grid):
+        # non-finite from the level-2 grid on (radius 8 * 4 > 20)
+        blowup = MapHandle(
+            lambda p: np.where(np.linalg.norm(p, axis=-1, keepdims=True)
+                               > 20.0, np.nan, 0.0 * p), 3, 3, parity="odd")
+        unanchored = MapHandle(lambda p: p + 1.0, 3, 3)
+        runs = [(ScalingOperator(0.5), map_sum(noisy_odd(), blowup)),
+                (ScalingOperator(0.5), noisy_odd(seed=4)),
+                (ScalingOperator(0.5), unanchored)]
+        out = iterate_lockstep(runs, grid)
+        assert str(out[0]) == "phi0 is non-finite on the level-2 grid"
+        assert_same_result(out[1], ref_iterate(*runs[1], grid), grid)
+        for run, res in ((runs[0], out[0]), (runs[2], out[2])):
+            with pytest.raises(type(res)) as want:
+                ref_iterate(*run, grid)
+            assert str(res) == str(want.value)
+            with pytest.raises(type(res)) as single:
+                iterate(*run, grid)
+            assert str(single.value) == str(res)

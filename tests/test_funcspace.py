@@ -1,16 +1,20 @@
 """Map-handle algebra: parity projections, sums, grids, sup distances."""
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from orthostab import funcspace
 from orthostab.funcspace import (INFINITE, EvaluationError, MapHandle,
-                                 SampleGrid, even_part, make_grid, map_scale,
-                                 map_sum, odd_part, shift_to_zero,
-                                 sup_distance, sup_norm, zero_map)
+                                 SampleGrid, evaluation_scope, even_part,
+                                 make_grid, map_scale, map_sum, odd_part,
+                                 shift_to_zero, sup_distance, sup_norm,
+                                 zero_map)
 from orthostab.orthogonality import DimensionMismatchError
 
 
@@ -53,6 +57,103 @@ class TestMapHandle:
             MapHandle(None, 2, 2)
         with pytest.raises(ValueError):
             MapHandle(lambda p: p, 2, 2, parity="sideways")
+
+
+def counted(fn, log):
+    """fn, appending a copy of every argument it is called on to log."""
+    def wrapper(p):
+        log.append(np.array(p))
+        return fn(p)
+    return wrapper
+
+
+class TestEvaluationScope:
+    def test_leaf_evaluated_once_per_point_array(self):
+        log = []
+        f = MapHandle(counted(lambda p: np.cos(p), log), 2, 2)
+        pts = np.random.default_rng(0).normal(size=(5, 2))
+        same = pts.copy()
+        with evaluation_scope():
+            first = f(pts)
+            assert f(pts) is first
+            # the key is the array object, not its contents
+            assert np.array_equal(f(same), first)
+            assert len(log) == 2
+        assert np.array_equal(first, np.cos(pts))
+        f(pts)
+        assert len(log) == 3
+
+    def test_derived_handles_share_their_leaf(self):
+        log = []
+        a = MapHandle(counted(lambda p: 3.0 * p, log), 2, 2, parity="odd")
+        pts = np.arange(6.0).reshape(3, 2)
+        with evaluation_scope():
+            out = map_scale(-1.0, a)(pts) + map_scale(2.0, a)(pts)
+        assert len(log) == 1
+        assert np.array_equal(out, 3.0 * pts)
+
+    def test_both_parities_share_x_and_minus_x(self):
+        log = []
+        f = MapHandle(counted(lambda p: (p + 1.0) ** 3, log), 2, 2)
+        pts = np.random.default_rng(1).normal(size=(7, 2))
+        want = even_part(f)(pts), odd_part(f)(pts)
+        log.clear()
+        with evaluation_scope():
+            got = even_part(f)(pts), odd_part(f)(pts)
+        assert len(log) == 2
+        assert np.array_equal(log[0], pts) and np.array_equal(log[1], -pts)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+    def test_stored_values_are_read_only(self):
+        ident = MapHandle(lambda p: p, 2, 2)
+        pts = np.ones((3, 2))
+        with evaluation_scope():
+            out = ident(pts)
+            with pytest.raises(ValueError):
+                out[0, 0] = 5.0
+            assert ident(pts)[0, 0] == 1.0
+            # a view: the caller's own array keeps its flags
+            assert pts.flags.writeable
+            neg = odd_part(ident)(pts)
+        assert np.array_equal(neg, pts)
+
+    def test_nothing_outlives_the_block(self):
+        f = MapHandle(lambda p: np.sin(p), 2, 2)
+        pts = np.ones((4, 2))
+        with evaluation_scope():
+            ref = weakref.ref(f(pts).base)
+            assert funcspace._SCOPE.get() is not None
+        gc.collect()
+        assert ref() is None
+        assert funcspace._SCOPE.get() is None
+
+    def test_key_holds_the_handle(self):
+        # a handle freed inside the block must not lend its id, and so
+        # its stored value, to the next handle allocated at its address
+        pts = np.ones((2, 2))
+        with evaluation_scope():
+            for c in range(20):
+                f = MapHandle(lambda p, _c=c: _c * p, 2, 2)
+                assert f(pts)[0, 0] == c
+                del f
+
+    def test_nested_block_starts_empty_and_restores_outer(self):
+        log = []
+        f = MapHandle(counted(lambda p: 2.0 * p, log), 2, 2)
+        pts = np.ones((2, 2))
+        with evaluation_scope():
+            f(pts)
+            with evaluation_scope():
+                f(pts)
+                f(pts)
+            f(pts)
+        assert len(log) == 2
+
+    def test_block_exits_on_error(self):
+        with pytest.raises(ZeroDivisionError):
+            with evaluation_scope():
+                1 / 0
+        assert funcspace._SCOPE.get() is None
 
 
 class TestAlgebra:

@@ -1,11 +1,14 @@
 """Pipeline tests: defect oracles, verdict semantics, full runs."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
-from orthostab.funcspace import (MapHandle, make_grid, map_sum, sup_distance,
-                                 zero_map)
-from orthostab import stability
+from orthostab.funcspace import (EvaluationError, MapHandle, make_grid,
+                                 map_sum, sup_distance, zero_map)
+from orthostab import funcspace, stability
 from orthostab.orthogonality import (NormSpec, ThalesianNotFoundError,
                                      birkhoff_james_relation,
                                      inner_product_relation,
@@ -230,6 +233,120 @@ class TestMainTheorem:
             run_main_theorem(inner_product_relation(), f, g, h, k,
                              config=SMALL)
         assert exc.value.result.verdict == "diverged"
+
+
+def norm_cubed_odd():
+    """x -> |x|^2 x: odd, and too fast for the halving operator."""
+    return MapHandle(lambda p: np.sum(p * p, axis=-1, keepdims=True) * p,
+                     3, 3, label="odd_cubic", parity="odd")
+
+
+def non_finite_beyond(radius, parity):
+    """0 up to the given norm and NaN past it; the level-4 grid of a
+    radius-8 grid is the first to reach 100."""
+    return MapHandle(
+        lambda p: np.where(np.linalg.norm(p, axis=-1, keepdims=True)
+                           > radius, np.nan, 0.0 * p),
+        3, 3, label=f"nan_{parity}", parity=parity)
+
+
+def sequential_extractions(f, g, h, k, cfg):
+    """The extraction loop as it stood before the lockstep ladder: one
+    run after another, raising for the first that fails."""
+    parts = derive_normalized_parts(f, g, h, k)
+    grid = make_grid(f.source_dim, cfg.grid_count, cfg.radius, cfg.seed + 1)
+    for name, phi, extractor in (("R", parts.Fo, extract_odd),
+                                 ("R_prime", parts.Go, extract_odd),
+                                 ("S", parts.Fe, extract_even),
+                                 ("S_prime", parts.Ge, extract_even)):
+        _, res = extractor(phi, grid, tol=cfg.tol, n_max=cfg.n_max,
+                           cap=cfg.cap)
+        if res.verdict != "converged":
+            raise DivergenceError(name, res)
+
+
+class TestLockstepExtractionErrors:
+    # (extra term of f, extra term of g, n_max): two of R, R', S and S'
+    # fail, and the later one in R, R', S, S' order fails on a lower
+    # level of the ladder, so the lockstep loop meets it first
+    @pytest.mark.parametrize("f_extra, g_extra, n_max, component", [
+        (norm_cubed_odd(), non_finite_beyond(100.0, "even"), 40, "R"),
+        (non_finite_beyond(100.0, "odd"), make_cubic_growth(1.0, 3, 3), 40,
+         None),
+        (non_finite_beyond(100.0, "even"), norm_cubed_odd(), 40, "R_prime"),
+        (make_cubic_growth(1.0, 3, 3), non_finite_beyond(100.0, "odd"), 40,
+         None),
+        (None, non_finite_beyond(100.0, "even"), 5, "R"),
+    ], ids=["R-diverges-S'-nan", "R-nan-S'-diverges", "R'-diverges-S-nan",
+            "R'-nan-S-diverges", "R-budget-S'-nan"])
+    def test_first_failure_in_component_order(self, f_extra, g_extra,
+                                              n_max, component):
+        f, g, h, k = compose_pexider_instance(
+            random_ground_truth(3, delta=0.01, seed=3))
+        if f_extra is not None:
+            f = map_sum(f, f_extra)
+        g = map_sum(g, g_extra)
+        cfg = PipelineConfig(pair_count=96, grid_count=64, n_max=n_max)
+        with pytest.raises((DivergenceError, EvaluationError)) as want:
+            sequential_extractions(f, g, h, k, cfg)
+        with pytest.raises((DivergenceError, EvaluationError)) as got:
+            run_main_theorem(inner_product_relation(), f, g, h, k, cfg)
+        assert type(got.value) is type(want.value)
+        assert str(got.value) == str(want.value)
+        assert getattr(got.value, "component", None) == component
+        if component is not None:
+            assert got.value.component == want.value.component
+            assert got.value.result.raw_gaps == want.value.result.raw_gaps
+
+
+def counted_leaves(maps, log):
+    """Wrap, in place, the fn of every leaf among the summands of maps.
+
+    ``log`` gets one (points, weakref to the value, scope open) record
+    per evaluation that reaches a leaf's own callable.
+    """
+    leaves = {t for m in maps for t in m.terms if not t._derived}
+    for leaf in leaves:
+        def fn(p, _fn=leaf.fn):
+            out = _fn(p)
+            log.append((p.size // p.shape[-1], weakref.ref(out),
+                        funcspace._SCOPE.get() is not None))
+            return out
+        leaf.fn = fn
+    return leaves
+
+
+class TestLeafEvaluations:
+    def test_default_inner_report_leaf_points(self):
+        # the CLI's `report --delta 0.01` instance and configuration
+        f, g, h, k = compose_pexider_instance(
+            random_ground_truth(3, delta=0.01, seed=42))
+        log = []
+        assert len(counted_leaves((f, g, h, k), log)) == 6
+        run_main_theorem(inner_product_relation(), f, g, h, k)
+        # each leaf evaluated afresh on every call, before evaluation
+        # scopes: 239446 points in 625 calls
+        assert sum(n for n, _, _ in log) <= 166334
+
+    @pytest.mark.parametrize("cubic", [None, 1.0])
+    def test_no_value_outlives_the_run(self, cubic):
+        f, g, h, k = compose_pexider_instance(
+            random_ground_truth(3, delta=0.01, seed=42))
+        if cubic is not None:
+            f = map_sum(f, make_cubic_growth(cubic, 3, 3))
+        log = []
+        counted_leaves((f, g, h, k), log)
+        try:
+            report = run_main_theorem(inner_product_relation(), f, g, h, k,
+                                      config=SMALL)
+        except DivergenceError:
+            report = None
+        assert (report is None) == (cubic is not None)
+        gc.collect()
+        assert funcspace._SCOPE.get() is None
+        scoped = [ref for _, ref, in_scope in log if in_scope]
+        assert scoped
+        assert all(ref() is None for ref in scoped)
 
 
 def per_point_joint_even_doubling(rel, Fe, Ge, pts):
