@@ -15,7 +15,10 @@ same point array 2^n * grid, inside one evaluation scope per level, so
 a leaf map that several phi0 share (both parities of one noise map,
 the quadratic part of f and of g) is evaluated once per level.  A run
 leaves the ladder when it stops or when evaluating its phi0 raises;
-the others go on.  ``iterate`` is its one-run case.
+the others go on.  ``iterate`` is its one-run case.  A limit handle
+and ``apply`` read phi at 2^n x and 2x through ``scaled_points``, so in
+an evaluation scope the measurements that read one limit, or phi and
+J phi, on one grid share its leaf evaluations there.
 
 A run reports three verdicts.  "converged" means the gap between
 consecutive iterates fell below tolerance; "diverged" means the gap
@@ -37,7 +40,8 @@ from typing import Sequence
 import numpy as np
 
 from .funcspace import (DEFAULT_CAP, INFINITE, EvaluationError, MapHandle,
-                        SampleGrid, evaluation_scope, map_sum, sup_distance)
+                        SampleGrid, evaluation_scope, map_sum, scaled_points,
+                        sup_distance)
 
 __all__ = [
     "ScalingOperator",
@@ -81,7 +85,8 @@ def apply(op: ScalingOperator, phi: MapHandle) -> MapHandle:
         return map_sum(*[apply(op, t) for t in phi.terms],
                        label=f"J[{phi.label}]")
     lam = op.lam
-    scaled = MapHandle(lambda pts, _f=phi, _l=lam: _l * _f(2.0 * pts),
+    scaled = MapHandle(lambda pts, _f=phi, _l=lam:
+                       _l * _f(scaled_points(2.0, pts)),
                        phi.source_dim, phi.target_dim,
                        label=f"J[{phi.label}]", parity=phi.parity,
                        _derived=True)
@@ -235,7 +240,8 @@ def _result(op: ScalingOperator, phi0: MapHandle, raw_c: list,
         factor = lam ** n_lim
         scale = 2.0 ** n_lim
         limit = MapHandle(
-            lambda p, _f=phi0, _a=factor, _s=scale: _a * _f(_s * p),
+            lambda p, _f=phi0, _a=factor, _s=scale:
+            _a * _f(scaled_points(_s, p)),
             phi0.source_dim, phi0.target_dim,
             label=f"limit[{phi0.label}]", parity=phi0.parity,
             _derived=True)

@@ -15,11 +15,17 @@ projections and the fixed-point layer build around other handles are
 derived, and only combine their values.  Inside an
 ``evaluation_scope`` block each leaf is evaluated at most once per
 point array: a second call of the same handle on the same array object
-returns the stored value, read-only.  The scope also negates each
-point array once, so the even and the odd part of one untagged leaf
-share its evaluations at x and at -x.  The stored values belong to the
-block and are dropped when it exits; point arrays must not change
-while it is open.  Outside a block every call evaluates afresh.
+returns the stored value, read-only.  The handles that read a map at
+scaled points (the parity projections at -x, the operator's J phi at
+2x, a Picard limit at 2^n x) take them from ``scaled_points``, which
+in a block computes c * x once per factor c and point array and keeps
+it, read-only, so the handles reading one scaled set share its leaf
+evaluations too: the even and the odd part of an untagged leaf, or a
+limit and a doubling residual.  Multiplying by -1 or a power of two
+is exact, so the shared values are the very bits a fresh evaluation
+gives.  The stored arrays belong to the block and are dropped when it
+exits; point arrays must not change while it is open (a grid's are
+read-only).  Outside a block every call evaluates afresh.
 
 The module also provides the sample grids that stand in for the domain
 and the capped sup distance that stands in for the uniform norm.  A
@@ -45,6 +51,7 @@ __all__ = [
     "EvaluationError",
     "MapHandle",
     "evaluation_scope",
+    "scaled_points",
     "zero_map",
     "map_sum",
     "map_scale",
@@ -63,8 +70,8 @@ DEFAULT_CAP = 1e12
 _PARITIES = (None, "even", "odd")
 
 # the open evaluation scope, None outside one.  It maps
-# (leaf handle, id(points)) -> (points, value) and (None, id(points))
-# -> (points, -points); holding the points keeps their id from being
+# (leaf handle, id(points)) -> (points, value) and (c, id(points)) ->
+# (points, c * points); holding the points keeps their id from being
 # reused while the entry lives, and the key holds the handle itself
 _SCOPE: ContextVar[dict | None] = ContextVar("orthostab_evaluation_scope",
                                              default=None)
@@ -75,7 +82,8 @@ def evaluation_scope():
     """Evaluate each leaf map at most once per point array in the block.
 
     Values are stored for the same handle object and the same point
-    array object, and handed out read-only.  Each block starts empty,
+    array object, and handed out read-only; so are the scaled point
+    arrays of ``scaled_points``.  Each block starts empty,
     a nested block included, and everything it stored is dropped when
     it exits, so a scope should span the calls that share one point
     set and no more.
@@ -94,15 +102,20 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
     return view
 
 
-def _negated(pts: np.ndarray) -> np.ndarray:
-    """-pts, computed once per point array inside an evaluation scope."""
+def scaled_points(c: float, pts: np.ndarray) -> np.ndarray:
+    """c * pts, computed once per factor and point array in a scope.
+
+    Inside an evaluation scope the same factor and the same array
+    object give the same read-only array, so leaf maps read at it are
+    evaluated once; outside one this is plain ``c * pts``.
+    """
     scope = _SCOPE.get()
     if scope is None:
-        return -pts
-    key = (None, id(pts))
+        return c * pts
+    key = (c, id(pts))
     hit = scope.get(key)
     if hit is None:
-        hit = scope[key] = (pts, _readonly(-pts))
+        hit = scope[key] = (pts, _readonly(c * pts))
     return hit[1]
 
 
@@ -176,7 +189,9 @@ class MapHandle:
     @property
     def value_at_zero(self) -> np.ndarray:
         if self._v0 is None:
-            self._v0 = self(np.zeros(self.source_dim))
+            # a copy: the handle outlives any evaluation scope, and in
+            # one a leaf hands out the scope's stored value
+            self._v0 = np.array(self(np.zeros(self.source_dim)))
         return self._v0
 
     @property
@@ -290,7 +305,8 @@ def even_part(f: MapHandle) -> MapHandle:
     if f.terms is not None:
         return map_sum(*[even_part(t) for t in f.terms],
                        label=f"even({f.label})")
-    return MapHandle(lambda pts, _f=f: 0.5 * (_f(pts) + _f(_negated(pts))),
+    return MapHandle(lambda pts, _f=f:
+                     0.5 * (_f(pts) + _f(scaled_points(-1.0, pts))),
                      f.source_dim, f.target_dim,
                      label=f"even({f.label})", parity="even", _derived=True)
 
@@ -304,7 +320,8 @@ def odd_part(f: MapHandle) -> MapHandle:
     if f.terms is not None:
         return map_sum(*[odd_part(t) for t in f.terms],
                        label=f"odd({f.label})")
-    return MapHandle(lambda pts, _f=f: 0.5 * (_f(pts) - _f(_negated(pts))),
+    return MapHandle(lambda pts, _f=f:
+                     0.5 * (_f(pts) - _f(scaled_points(-1.0, pts))),
                      f.source_dim, f.target_dim,
                      label=f"odd({f.label})", parity="odd", _derived=True)
 
@@ -313,7 +330,9 @@ def odd_part(f: MapHandle) -> MapHandle:
 class SampleGrid:
     """A finite stand-in for the domain: sample points plus provenance.
 
-    Row 0 is always the origin; measurement code relies on that.
+    Row 0 is always the origin; measurement code relies on that.  The
+    points are a read-only copy: evaluation scopes key on the array
+    object, so values must not change under a measurement.
     """
 
     points: np.ndarray
@@ -321,11 +340,12 @@ class SampleGrid:
     radius: float
 
     def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float)
+        pts = np.array(self.points, dtype=float)
         if pts.ndim != 2:
             raise DimensionMismatchError("grid points must be 2-D")
         if pts.shape[0] < 1 or pts[0].any():
             raise ValueError("grid row 0 must be the origin")
+        pts.flags.writeable = False
         object.__setattr__(self, "points", pts)
 
     @property

@@ -62,8 +62,8 @@ from .fixedpoint import (IterationResult, ScalingOperator, apriori_bound,
                          iterate, iterate_lockstep)
 from .funcspace import (DEFAULT_CAP, EvaluationError, MapHandle, SampleGrid,
                         evaluation_scope, even_part, make_grid, map_scale,
-                        map_sum, odd_part, shift_to_zero, sup_distance,
-                        sup_norm, zero_map)
+                        map_sum, odd_part, scaled_points, shift_to_zero,
+                        sup_distance, sup_norm, zero_map)
 from .orthogonality import (OrthoRelation, inner_product_relation,
                             sample_orthogonal_pairs, symmetrize_relation,
                             relation_descriptor, thalesian_solve)
@@ -243,7 +243,7 @@ def pexider_defect(f: MapHandle, g: MapHandle, h: MapHandle, k: MapHandle,
 
 def _doubling_residual(phi: MapHandle, pts: np.ndarray,
                        factor: float) -> float:
-    vals = phi(2.0 * pts) - factor * phi(pts)
+    vals = phi(scaled_points(2.0, pts)) - factor * phi(pts)
     return _max_row_norm(vals, f"{phi.label!r} doubling residual")
 
 
@@ -255,7 +255,11 @@ def doubling_defect(f: MapHandle, grid: SampleGrid) -> float:
 def mixed_parity_defect(f: MapHandle, grid: SampleGrid) -> float:
     """sup of ||f(2x) - f(-2x) - 4f(x) - 4f(-x)||, no parity projection."""
     pts = grid.points
-    vals = f(2.0 * pts) - f(-2.0 * pts) - 4.0 * f(pts) - 4.0 * f(-pts)
+    # -2x as -(2x): the same bits, and in a scope the same array as the
+    # even part of f reads at 2x
+    two = scaled_points(2.0, pts)
+    vals = (f(two) - f(scaled_points(-1.0, two)) - 4.0 * f(pts)
+            - 4.0 * f(scaled_points(-1.0, pts)))
     return _max_row_norm(vals, "the mixed-parity defect")
 
 
@@ -559,7 +563,17 @@ def _run_pipeline(rel: OrthoRelation, f: MapHandle, g: MapHandle,
     extractions climb the dyadic ladder 2^n * grid in lockstep, one
     scope per level.  A failed extraction is raised for the first of
     R, R', S, S' that fails, with the error one run after another
-    would give.  The remaining measurements evaluate afresh.
+    would give.  Once all four have converged, the measurements on the
+    grid and its scaled copies (the gaps, the a-priori bounds, the
+    doubling and parity diagnostics and the fingerprints) share one
+    scope, so each limit reads phi0 on 2^n * grid once for all of
+    them.  The defect diagnostics share a scope of their own ahead of
+    the residuals, where a failure of theirs is reported first.  The
+    split-witness and fresh-pair diagnostics, the corrector scaling
+    residuals and the necessity check run outside any scope: most of
+    what they read (the witnesses, the fresh pairs, each limit on the
+    doubled grid) no other measurement reads, so storing it would only
+    cost memory.
     """
     _require_compatible(rel)
     _require_same_space([f, g, h, k])
@@ -571,12 +585,14 @@ def _run_pipeline(rel: OrthoRelation, f: MapHandle, g: MapHandle,
     closed = closure_pairs(pairs, grid)
 
     eps = pexider_defect(f, g, h, k, closed)
-    defects = DefectReport(
-        pexider=eps,
-        even_doubling=doubling_defect(f, grid),
-        literal_mixed_parity=mixed_parity_defect(f, grid),
-    )
-
+    # measured ahead of the residuals and the extractions, so that one
+    # of these diagnostics failing is the error the run reports first
+    with evaluation_scope():
+        defects = DefectReport(
+            pexider=eps,
+            even_doubling=doubling_defect(f, grid),
+            literal_mixed_parity=mixed_parity_defect(f, grid),
+        )
     parts = derive_normalized_parts(f, g, h, k)
 
     def gap(a: MapHandle, b: MapHandle) -> float:
@@ -594,8 +610,6 @@ def _run_pipeline(rel: OrthoRelation, f: MapHandle, g: MapHandle,
         "shifted_residual": shifted_residual,
         "odd_part_residual": odd_residual,
         "even_part_residual": even_residual,
-        "f_odd_vs_mean": gap(parts.Fo, parts.Lo),
-        "even_sum_vs_mean": gap(map_sum(parts.Fe, parts.Ge), parts.Le),
     }
 
     # the four extractions climb the dyadic ladder in lockstep; failures
@@ -606,24 +620,12 @@ def _run_pipeline(rel: OrthoRelation, f: MapHandle, g: MapHandle,
     outcomes = iterate_lockstep(
         [(ScalingOperator(lam), phi) for _, phi, lam in extractions], grid,
         tol=cfg.tol, n_max=cfg.n_max, cap=cfg.cap)
-    iterations: dict[str, dict] = {}
-    limits = []
-    for (name, phi, _), res in zip(extractions, outcomes):
+    for (name, _, _), res in zip(extractions, outcomes):
         if isinstance(res, Exception):
             raise res
         if res.verdict != "converged":
             raise DivergenceError(name, res)
-        limits.append(res.limit)
-        iterations[name] = {
-            "verdict": res.verdict,
-            "lam": res.lam,
-            "n_steps": res.n_steps,
-            "apriori": apriori_bound(phi, ScalingOperator(res.lam), grid),
-            "final_distance": gap(phi, res.limit),
-            "per_step_distances": res.per_step_distances,
-            "raw_gaps": res.raw_gaps,
-        }
-    r, r2, s, s2 = limits
+    r, r2, s, s2 = (res.limit for res in outcomes)
     t = map_sum(r, s, label="T")
     t2 = map_sum(r2, s2, label="T_prime")
     # even summands first: mirrors the evaluation order of h + k
@@ -632,23 +634,54 @@ def _run_pipeline(rel: OrthoRelation, f: MapHandle, g: MapHandle,
 
     witnesses = _split_witness_points(rel, grid, cfg)
     joint = _joint_even_doubling(rel, parts.Fe, parts.Ge, witnesses)
-    measured.update({
-        # each extract's gap to its input is its final_distance
-        "f_odd_gap": iterations["R"]["final_distance"],
-        "g_odd_gap": iterations["R_prime"]["final_distance"],
-        "mean_odd_gap": gap(parts.Lo, r),
-        # left out of the bounds when no witness split
-        "joint_even_doubling": (
-            _max_row_norm(joint, "the joint doubling defect")
-            if len(joint) else None),
-        "g_even_doubling": _doubling_residual(parts.Ge, grid.points, 4.0),
-        "g_even_gap": iterations["S_prime"]["final_distance"],
-        "f_even_gap": iterations["S"]["final_distance"],
-        "mean_even_gap": gap(parts.Le, map_sum(s, s2)),
-        "f_total_gap": gap(parts.F, t),
-        "g_total_gap": gap(parts.G, t2),
-        "hk_total_gap": gap(map_sum(parts.H, parts.K), t3),
-    })
+
+    pts = grid.points
+    with evaluation_scope():
+        iterations = {
+            name: {
+                "verdict": res.verdict,
+                "lam": res.lam,
+                "n_steps": res.n_steps,
+                "apriori": apriori_bound(phi, ScalingOperator(res.lam),
+                                         grid),
+                "final_distance": gap(phi, res.limit),
+                "per_step_distances": res.per_step_distances,
+                "raw_gaps": res.raw_gaps,
+            }
+            for (name, phi, _), res in zip(extractions, outcomes)}
+        measured.update({
+            "f_odd_vs_mean": gap(parts.Fo, parts.Lo),
+            "even_sum_vs_mean": gap(map_sum(parts.Fe, parts.Ge), parts.Le),
+            # each extract's gap to its input is its final_distance
+            "f_odd_gap": iterations["R"]["final_distance"],
+            "g_odd_gap": iterations["R_prime"]["final_distance"],
+            "mean_odd_gap": gap(parts.Lo, r),
+            # left out of the bounds when no witness split
+            "joint_even_doubling": (
+                _max_row_norm(joint, "the joint doubling defect")
+                if len(joint) else None),
+            "g_even_doubling": _doubling_residual(parts.Ge, pts, 4.0),
+            "g_even_gap": iterations["S_prime"]["final_distance"],
+            "f_even_gap": iterations["S"]["final_distance"],
+            "mean_even_gap": gap(parts.Le, map_sum(s, s2)),
+            "f_total_gap": gap(parts.F, t),
+            "g_total_gap": gap(parts.G, t2),
+            "hk_total_gap": gap(map_sum(parts.H, parts.K), t3),
+        })
+        parity_residuals = {
+            "F_odd": _max_row_norm(
+                parts.Fo(pts) + parts.Fo(scaled_points(-1.0, pts)),
+                "oddness of F's odd part"),
+            "F_even": _max_row_norm(
+                parts.Fe(pts) - parts.Fe(scaled_points(-1.0, pts)),
+                "evenness of F's even part"),
+        }
+        fingerprints = {
+            "grid": _fingerprint(pts),
+            "T": _fingerprint(t(pts)),
+            "T_prime": _fingerprint(t2(pts)),
+            "T_second": _fingerprint(t3(pts)),
+        }
     bounds = [_check(name, coeff, measured[name], eps, cfg.verdict_rtol)
               for name, coeff in coeffs.items()
               if measured[name] is not None]
@@ -674,19 +707,12 @@ def _run_pipeline(rel: OrthoRelation, f: MapHandle, g: MapHandle,
         "orthogonal_additivity_of_R": odd_add,
         "orthogonal_quadratic_identity_of_S": even_quad,
         "scaling_residuals": {
-            "R": _doubling_residual(r, grid.points, 2.0),
-            "R_prime": _doubling_residual(r2, grid.points, 2.0),
-            "S": _doubling_residual(s, grid.points, 4.0),
-            "S_prime": _doubling_residual(s2, grid.points, 4.0),
+            "R": _doubling_residual(r, pts, 2.0),
+            "R_prime": _doubling_residual(r2, pts, 2.0),
+            "S": _doubling_residual(s, pts, 4.0),
+            "S_prime": _doubling_residual(s2, pts, 4.0),
         },
-        "parity_residuals": {
-            "F_odd": _max_row_norm(
-                parts.Fo(grid.points) + parts.Fo(-grid.points),
-                "oddness of F's odd part"),
-            "F_even": _max_row_norm(
-                parts.Fe(grid.points) - parts.Fe(-grid.points),
-                "evenness of F's even part"),
-        },
+        "parity_residuals": parity_residuals,
         "split_witness_attempts": len(witnesses),
         "split_witness_failures": len(witnesses) - len(joint),
         "closure_pair_count": int(closed.shape[0]),
@@ -699,12 +725,6 @@ def _run_pipeline(rel: OrthoRelation, f: MapHandle, g: MapHandle,
     necessity = necessity_check(
         parts.F, t, grid,
         doubling_tol=4.0 * cfg.tol * (1.0 + cfg.verdict_rtol))
-    fingerprints = {
-        "grid": _fingerprint(grid.points),
-        "T": _fingerprint(t(grid.points)),
-        "T_prime": _fingerprint(t2(grid.points)),
-        "T_second": _fingerprint(t3(grid.points)),
-    }
 
     return StabilityReport(
         corollary=corollary,

@@ -10,11 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orthostab import funcspace
+from orthostab.fixedpoint import ScalingOperator, apply, iterate
 from orthostab.funcspace import (INFINITE, EvaluationError, MapHandle,
                                  SampleGrid, evaluation_scope, even_part,
                                  make_grid, map_scale, map_sum, odd_part,
-                                 shift_to_zero, sup_distance, sup_norm,
-                                 zero_map)
+                                 scaled_points, shift_to_zero, sup_distance,
+                                 sup_norm, zero_map)
 from orthostab.orthogonality import DimensionMismatchError
 
 
@@ -154,6 +155,75 @@ class TestEvaluationScope:
             with evaluation_scope():
                 1 / 0
         assert funcspace._SCOPE.get() is None
+
+    def test_value_at_zero_first_read_in_a_block_is_not_stored(self):
+        f = MapHandle(lambda p: np.cos(p), 2, 2)
+        with evaluation_scope():
+            v0 = f.value_at_zero
+            stored = [value for _, value in funcspace._SCOPE.get().values()]
+            assert stored
+            assert not any(np.shares_memory(v0, s) for s in stored)
+            refs = [weakref.ref(s if s.base is None else s.base)
+                    for s in stored]
+        del stored
+        gc.collect()
+        assert all(ref() is None for ref in refs)
+        assert f.value_at_zero is v0
+        assert v0.flags.writeable
+        assert np.array_equal(v0, np.ones(2))
+
+
+class TestScaledPoints:
+    def test_one_array_per_factor_and_point_array(self):
+        pts = np.random.default_rng(2).normal(size=(6, 3))
+        factors = (-1.0, 2.0, -2.0, 2.0 ** 30)
+        with evaluation_scope():
+            got = {c: scaled_points(c, pts) for c in factors}
+            for c, arr in got.items():
+                assert scaled_points(c, pts) is arr
+                assert arr.tobytes() == (c * pts).tobytes()
+                assert not arr.flags.writeable
+            # the key is the array object, not its contents
+            assert scaled_points(2.0, pts.copy()) is not got[2.0]
+            # -(2x) is -2x bit for bit
+            assert (scaled_points(-1.0, got[2.0]).tobytes()
+                    == got[-2.0].tobytes())
+            refs = [weakref.ref(arr.base) for arr in got.values()]
+        del got, arr
+        gc.collect()
+        assert all(ref() is None for ref in refs)
+        assert scaled_points(-1.0, pts).tobytes() == (-pts).tobytes()
+        assert scaled_points(2.0, pts) is not scaled_points(2.0, pts)
+        assert pts.flags.writeable
+
+    def test_parts_apply_and_limit_read_each_leaf_once(self):
+        log = []
+        leaf = MapHandle(counted(lambda p: 3.0 * p + 1e-3 * np.sin(p), log),
+                         2, 2)
+        grid = make_grid(2, 16, 4.0, seed=3)
+        op = ScalingOperator(0.5)
+        res = iterate(op, leaf, grid, tol=1e-5)
+        n = res.n_steps
+        assert n >= 2
+
+        maps = [even_part(leaf), odd_part(leaf), apply(op, leaf),
+                apply(op, even_part(leaf)), res.limit, res.limit]
+
+        def measure():
+            return ([m(grid.points) for m in maps]
+                    + [sup_distance(leaf, res.limit, grid)])
+
+        want = measure()
+        log.clear()
+        with evaluation_scope():
+            got = measure()
+        # x, -x, 2x, -(2x) and 2^n x: one evaluation each
+        seen = [np.array(p) for p in log]
+        pts = grid.points
+        assert len(seen) == 5
+        for c in (1.0, -1.0, 2.0, -2.0, 2.0 ** n):
+            assert sum(np.array_equal(p, c * pts) for p in seen) == 1
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
 
 class TestAlgebra:
@@ -298,6 +368,19 @@ class TestGrid:
     def test_origin_required(self):
         with pytest.raises(ValueError):
             SampleGrid(np.ones((3, 2)), 0, 8.0)
+
+    def test_points_are_a_read_only_copy(self):
+        raw = np.zeros((3, 2))
+        raw[1:] = 1.0
+        grid = SampleGrid(raw, 0, 8.0)
+        with pytest.raises(ValueError):
+            grid.points[1, 0] = 5.0
+        # the caller's own array stays writeable and apart
+        assert raw.flags.writeable
+        raw[1, 0] = 5.0
+        assert grid.points[1, 0] == 1.0
+        with pytest.raises(ValueError):
+            make_grid(2, 4, seed=0).points[1] *= 2.0
 
 
 class TestSupDistance:
