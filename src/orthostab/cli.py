@@ -14,25 +14,27 @@ doubling identity failed, 2 bad input or an internal error, 3 an
 extraction diverged.  A run prints at most one ``error:`` line and
 never a traceback.
 
-``--json PATH`` (or ``-`` for stdout) writes a machine-readable report;
-floats are rendered with 17 significant digits and no timestamps are
-embedded, so identical configurations produce byte-identical output.
+``--json PATH`` writes a machine-readable report and ``--csv PATH`` the
+result table; ``-`` for either one (not both) writes it to stdout in
+place of the human-readable lines.  Floats get 17 significant digits
+and no timestamps, so identical configurations give identical bytes.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import sys
 
 import numpy as np
 
 from .funcspace import EvaluationError, make_grid, map_sum
-from .orthogonality import (DimensionMismatchError, NormSpec,
-                            PairGenerationError, ThalesianNotFoundError,
-                            birkhoff_james_relation, check_axioms,
-                            inner_product_relation, sample_orthogonal_pairs,
-                            symmetrize_relation, trivial_relation)
+from .orthogonality import (DimensionMismatchError, PairGenerationError,
+                            ThalesianNotFoundError, birkhoff_james_relation,
+                            check_axioms, inner_product_relation,
+                            sample_orthogonal_pairs, symmetrize_relation,
+                            trivial_relation)
 from .perturb import (compose_cauchy_instance, compose_pexider_instance,
                       compose_quadratic_instance, make_cubic_growth,
                       random_ground_truth)
@@ -53,9 +55,8 @@ def _build_relation(name: str):
         return trivial_relation()
     if name == "inner":
         return inner_product_relation()
-    norm = {"bj:l1": NormSpec.l1(), "bj:l2": NormSpec.euclidean(),
-            "bj:linf": NormSpec.linf()}[name]
-    return birkhoff_james_relation(norm)
+    # "bj:l1" -> the shorthand "l1", which birkhoff_james_relation reads
+    return birkhoff_james_relation(name.split(":", 1)[1])
 
 
 def _fmt(v: float) -> str:
@@ -112,10 +113,9 @@ def _emit_json(doc: dict, path: str):
 def _emit_csv(rows: list, header: list, path: str):
     import csv
 
-    with open(path, "w", newline="", encoding="ascii") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+    with (contextlib.nullcontext(sys.stdout) if path == "-" else
+          open(path, "w", newline="", encoding="ascii")) as fh:
+        csv.writer(fh).writerows([header, *rows])
 
 
 def parse_args(argv=None) -> argparse.Namespace:
@@ -147,7 +147,7 @@ def parse_args(argv=None) -> argparse.Namespace:
     common.add_argument("--json", metavar="PATH", default=None,
                         help="write a JSON report to PATH, or - for stdout")
     common.add_argument("--csv", metavar="PATH", default=None,
-                        help="write the result table as CSV")
+                        help="write a CSV table to PATH, or - for stdout")
 
     sub.add_parser("axioms", parents=[common],
                    help="probe the relation's axioms")
@@ -207,7 +207,7 @@ def _print_bounds(report):
 
 def _report_command(args: argparse.Namespace, runner) -> int:
     rel = _build_relation(args.relation)
-    auto_sym = args.relation in ("bj:l1", "bj:linf")
+    auto_sym = rel.polyhedral
     if auto_sym:
         # the pipeline uses sampled pairs in both roles, which needs a
         # symmetric relation; the closure is recorded in the output
@@ -233,7 +233,7 @@ def _report_command(args: argparse.Namespace, runner) -> int:
         # an exhausted budget is a failed bound, as in extract
         return 3 if err.result.verdict == "diverged" else 1
 
-    quiet = args.json == "-"
+    quiet = "-" in (args.json, args.csv)
     if not quiet:
         print(f"relation: {report.relation['kind']} (dim {report.dim}, "
               f"{args.command})")
@@ -291,7 +291,7 @@ def _cmd_axioms(args: argparse.Namespace) -> int:
     rel = _build_relation(args.relation)
     report = check_axioms(rel, args.dim, n_samples=args.samples,
                           seed=args.seed, radius=args.radius)
-    quiet = args.json == "-"
+    quiet = "-" in (args.json, args.csv)
     if not quiet:
         print(f"relation: {report.relation['kind']} (dim {args.dim})")
         for name, chk in report.checks.items():
@@ -328,7 +328,7 @@ def _cmd_defect(args: argparse.Namespace) -> int:
     eps = pexider_defect(f, g, h, k, closed)
     dbl = doubling_defect(f, grid)
     mix = mixed_parity_defect(f, grid)
-    quiet = args.json == "-"
+    quiet = "-" in (args.json, args.csv)
     if not quiet:
         print(f"pexider defect:      {eps:.6e}")
         print(f"even doubling:       {dbl:.6e}")
@@ -364,7 +364,7 @@ def _cmd_extract(args: argparse.Namespace) -> int:
     # first and last raw gap of each run, 0 for a run with none
     ends = {name: (res.raw_gaps[0], res.raw_gaps[-1]) if res.raw_gaps
             else (0.0, 0.0) for name, res in runs.items()}
-    quiet = args.json == "-"
+    quiet = "-" in (args.json, args.csv)
     if not quiet:
         for name, res in runs.items():
             print(f"  {name:8s} {res.verdict:28s} steps={res.n_steps:3d} "
@@ -430,6 +430,10 @@ def execute(args: argparse.Namespace) -> int:
         return 2
     if args.n_max < 0:
         print("error: --n-max must be nonnegative", file=sys.stderr)
+        return 2
+    if args.json == "-" and args.csv == "-":
+        print("error: --json - and --csv - cannot both write to stdout",
+              file=sys.stderr)
         return 2
     try:
         # just below the guards an intermediate can still overflow: the

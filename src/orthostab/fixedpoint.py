@@ -22,9 +22,9 @@ J phi, on one grid share its leaf evaluations there.
 
 A run reports three verdicts.  "converged" means the gap between
 consecutive iterates fell below tolerance; "diverged" means the gap
-blew past the cap (the alternative branch of the fixed-point dichotomy,
-reached e.g. for cubic-order growth); "iteration-budget-exhausted"
-means neither happened within n_max steps.
+blew past DEFAULT_CAP (the alternative branch of the fixed-point
+dichotomy, reached e.g. for cubic-order growth);
+"iteration-budget-exhausted" means neither happened within n_max steps.
 
 Since lam is typically a power of two, multiplying by lam is exact in
 binary floating point, and the reported per-step distances decay by a
@@ -106,7 +106,6 @@ class IterationResult:
     """
 
     verdict: str
-    converged: bool
     n_steps: int
     lam: float
     limit: MapHandle | None
@@ -115,8 +114,7 @@ class IterationResult:
 
 
 def iterate(op: ScalingOperator, phi0: MapHandle, grid: SampleGrid,
-            tol: float = 1e-10, n_max: int = 40,
-            cap: float = DEFAULT_CAP) -> IterationResult:
+            tol: float = 1e-10, n_max: int = 40) -> IterationResult:
     """Run the Picard iteration of op from phi0 over the grid.
 
     The consecutive gap at level n is lam^n * c_n with
@@ -126,16 +124,15 @@ def iterate(op: ScalingOperator, phi0: MapHandle, grid: SampleGrid,
     at level 0, otherwise the handle x -> lam^n * phi0(2^n x) with
     phi0's parity, which is the numerically converged iterate.
     """
-    (out,) = iterate_lockstep([(op, phi0)], grid, tol=tol, n_max=n_max,
-                              cap=cap)
+    (out,) = iterate_lockstep([(op, phi0)], grid, tol=tol, n_max=n_max)
     if isinstance(out, Exception):
         raise out
     return out
 
 
 def iterate_lockstep(runs: Sequence[tuple[ScalingOperator, MapHandle]],
-                     grid: SampleGrid, tol: float = 1e-10, n_max: int = 40,
-                     cap: float = DEFAULT_CAP) -> list:
+                     grid: SampleGrid, tol: float = 1e-10,
+                     n_max: int = 40) -> list:
     """Run the Picard iterations of several (op, phi0) pairs in lockstep.
 
     Each run goes through exactly the steps ``iterate`` describes, with
@@ -192,7 +189,7 @@ def iterate_lockstep(runs: Sequence[tuple[ScalingOperator, MapHandle]],
                 gap = lam_pow[i] * c_n
                 if gap <= tol:
                     outcome[i], n_stop[i] = "converged", n
-                elif gap > cap:
+                elif gap > DEFAULT_CAP:
                     outcome[i], n_stop[i] = "diverged", n
                 else:
                     cur[i] = nxt
@@ -230,10 +227,8 @@ def _result(op: ScalingOperator, phi0: MapHandle, raw_c: list,
         pw = pw * lam
 
     if verdict == "diverged":
-        return IterationResult(verdict, False, n_stop, lam, None,
-                               per_step, raw_gaps)
-
-    if n_stop == 0 and verdict == "converged":
+        limit = None
+    elif n_stop == 0 and verdict == "converged":
         limit = phi0
     else:
         n_lim = n_stop if verdict == "converged" else n_max
@@ -245,8 +240,7 @@ def _result(op: ScalingOperator, phi0: MapHandle, raw_c: list,
             phi0.source_dim, phi0.target_dim,
             label=f"limit[{phi0.label}]", parity=phi0.parity,
             _derived=True)
-    return IterationResult(verdict, verdict == "converged", n_stop, lam,
-                           limit, per_step, raw_gaps)
+    return IterationResult(verdict, n_stop, lam, limit, per_step, raw_gaps)
 
 
 def apriori_bound(phi: MapHandle, op: ScalingOperator,

@@ -29,8 +29,9 @@ read-only).  Outside a block every call evaluates afresh.
 
 The module also provides the sample grids that stand in for the domain
 and the capped sup distance that stands in for the uniform norm.  A
-distance exceeding the cap is reported as ``math.inf`` (the generalized
-metric used by the fixed-point machinery allows infinite values).
+distance exceeding ``DEFAULT_CAP`` is reported as ``math.inf`` (the
+generalized metric used by the fixed-point machinery allows infinite
+values).
 """
 
 from __future__ import annotations
@@ -130,11 +131,11 @@ class MapHandle:
     Exactly one of ``fn`` (a vectorized callable taking arrays shaped
     (..., source_dim) to (..., target_dim)) or ``terms`` (a tuple of
     summand handles, evaluated left to right) is set; the all-zero map
-    carries neither.  Handles are immutable by convention: operators
-    return new handles and never mutate.  ``_derived`` marks a handle
-    whose ``fn`` only combines the values of other handles (a scaled
-    map, a parity projection, a rescaled iterate); every other handle
-    with ``fn`` is a leaf, whose values an evaluation scope stores.
+    carries neither.  Handles are immutable by convention: combining
+    them makes new handles.  ``_derived`` marks a handle whose ``fn``
+    only combines the values of other handles (a scaled map, a parity
+    projection, a rescaled iterate); every other handle with ``fn`` is
+    a leaf, whose values an evaluation scope stores.
     """
 
     fn: Callable[[np.ndarray], np.ndarray] | None
@@ -197,20 +198,6 @@ class MapHandle:
     @property
     def is_zero_map(self) -> bool:
         return self._is_zero
-
-    def __add__(self, other: "MapHandle") -> "MapHandle":
-        return map_sum(self, other)
-
-    def __sub__(self, other: "MapHandle") -> "MapHandle":
-        return map_sum(self, map_scale(-1.0, other))
-
-    def __neg__(self) -> "MapHandle":
-        return map_scale(-1.0, self)
-
-    def __mul__(self, c) -> "MapHandle":
-        return map_scale(c, self)
-
-    __rmul__ = __mul__
 
 
 def zero_map(source_dim: int, target_dim: int) -> MapHandle:
@@ -357,7 +344,7 @@ class SampleGrid:
 
 
 def make_grid(dim: int, count: int = 256, radius: float = 8.0,
-              seed: int = 0, extra_points=None) -> SampleGrid:
+              seed: int = 0) -> SampleGrid:
     """Seeded grid: origin, then points on shells from 0.1r out to r."""
     if dim < 1:
         raise DimensionMismatchError("dim must be positive")
@@ -369,13 +356,8 @@ def make_grid(dim: int, count: int = 256, radius: float = 8.0,
     dirs = rng.normal(size=(count, dim))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     radii = radius * (0.1 + 0.9 * np.linspace(0.0, 1.0, count))
-    pts = [np.zeros((1, dim)), dirs * radii[:, None]]
-    if extra_points is not None:
-        extra = np.asarray(extra_points, dtype=float)
-        if extra.ndim != 2 or extra.shape[1] != dim:
-            raise DimensionMismatchError("extra points have the wrong shape")
-        pts.append(extra)
-    return SampleGrid(np.vstack(pts), seed, radius)
+    return SampleGrid(np.vstack([np.zeros((1, dim)), dirs * radii[:, None]]),
+                      seed, radius)
 
 
 def _resolve_points(grid) -> np.ndarray:
@@ -384,36 +366,30 @@ def _resolve_points(grid) -> np.ndarray:
     return np.asarray(grid, dtype=float)
 
 
-def sup_distance(f: MapHandle, g: MapHandle, grid,
-                 cap: float = DEFAULT_CAP) -> float:
+def _capped_sup(vals: np.ndarray, what: str) -> float:
+    # the largest row length, or INFINITE past DEFAULT_CAP
+    if not np.all(np.isfinite(vals)):
+        raise EvaluationError(f"non-finite values {what}")
+    sup = float(np.max(np.sqrt(np.sum(vals * vals, axis=-1))))
+    return INFINITE if sup > DEFAULT_CAP else sup
+
+
+def sup_distance(f: MapHandle, g: MapHandle, grid) -> float:
     """max over grid of the euclidean length of f - g, capped.
 
-    Identical handles short-circuit to an exact 0.0.  Values past the
-    cap collapse to INFINITE; non-finite evaluations raise instead of
-    silently polluting a supremum.
+    Identical handles short-circuit to an exact 0.0.  Values past
+    DEFAULT_CAP collapse to INFINITE; non-finite evaluations raise
+    instead of silently polluting a supremum.
     """
     if f is g:
         return 0.0
     pts = _resolve_points(grid)
-    diff = f(pts) - g(pts)
-    if not np.all(np.isfinite(diff)):
-        raise EvaluationError(
-            f"non-finite values comparing {f.label!r} and {g.label!r}")
-    sup = float(np.max(np.sqrt(np.sum(diff * diff, axis=-1))))
-    if sup > cap:
-        return INFINITE
-    return sup
+    return _capped_sup(f(pts) - g(pts),
+                       f"comparing {f.label!r} and {g.label!r}")
 
 
-def sup_norm(f: MapHandle, grid, cap: float = DEFAULT_CAP) -> float:
+def sup_norm(f: MapHandle, grid) -> float:
     """max over grid of the euclidean length of f, capped like sup_distance."""
     if f._is_zero:
         return 0.0
-    pts = _resolve_points(grid)
-    vals = f(pts)
-    if not np.all(np.isfinite(vals)):
-        raise EvaluationError(f"non-finite values evaluating {f.label!r}")
-    sup = float(np.max(np.sqrt(np.sum(vals * vals, axis=-1))))
-    if sup > cap:
-        return INFINITE
-    return sup
+    return _capped_sup(f(_resolve_points(grid)), f"evaluating {f.label!r}")

@@ -253,11 +253,15 @@ class OrthoRelation:
             raise ValueError("tol must be positive and finite")
 
     @property
+    def polyhedral(self) -> bool:
+        """Birkhoff-James orthogonality of the l1 or the linf norm."""
+        return (self.kind == "birkhoff_james"
+                and self.norm.kind in ("l1", "linf"))
+
+    @property
     def is_symmetric(self) -> bool:
         """True when symmetry holds by construction, not merely by test."""
-        if self.symmetrized or self.kind in ("trivial", "inner_product"):
-            return True
-        return self.norm.kind in ("euclidean", "weighted")
+        return self.symmetrized or not self.polyhedral
 
 
 def trivial_relation(tol: float = DEFAULT_TOL) -> OrthoRelation:
@@ -465,8 +469,7 @@ def thalesian_solve(rel: OrthoRelation, x, lam) -> np.ndarray:
     # x _|_ 0 and x + 0 _|_ 0 hold for every relation kind
     out = np.zeros_like(rows)
     live = lams > 0.0
-    if rel.kind != "birkhoff_james" or rel.norm.kind in ("euclidean",
-                                                         "weighted"):
+    if not rel.polyhedral:
         out[live] = _closed_form_split(rel, rows[live], lams[live])
     else:
         out[live], first, second = _bj_splits(rel, rows[live], lams[live])
@@ -801,9 +804,7 @@ def _one_point(rng: np.random.Generator, dim: int,
 
 def _inner_like(rel: OrthoRelation) -> bool:
     # partners by projection: an inner product, or a norm from one
-    return rel.kind == "inner_product" or (
-        rel.kind == "birkhoff_james"
-        and rel.norm.kind in ("euclidean", "weighted"))
+    return rel.kind != "trivial" and not rel.polyhedral
 
 
 def _directions(rel: OrthoRelation, xs: np.ndarray, vs: np.ndarray):

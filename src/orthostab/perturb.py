@@ -213,23 +213,17 @@ def compose_quadratic_instance(gt: GroundTruth) -> MapHandle:
     return map_sum(p, _noise(gt, 0, "n_q", parity="even"), label="Q")
 
 
-def random_ground_truth(dim: int, target_dim: int | None = None,
-                        delta: float = 0.0, seed: int = 0,
-                        radial: bool = True) -> GroundTruth:
-    """Seeded generator data with O(1) coefficients.
+def random_ground_truth(dim: int, delta: float = 0.0,
+                        seed: int = 0) -> GroundTruth:
+    """Seeded generator data on R^dim -> R^dim with O(1) coefficients.
 
-    ``radial`` selects forms proportional to the identity, which keep
-    the quadratic part orthogonally additive for the inner-product
-    relation; general symmetric forms do not have that property.
+    The forms are multiples of the identity, which keep the quadratic
+    part orthogonally additive for the inner-product relation; general
+    symmetric forms do not have that property.
     """
-    m = target_dim if target_dim is not None else dim
     rng = np.random.default_rng(seed)
-    additive = rng.uniform(-0.6, 0.6, size=(m, dim))
-    if radial:
-        coeffs = rng.uniform(0.2, 0.8, size=m)
-        forms = coeffs[:, None, None] * np.eye(dim)[None, :, :]
-    else:
-        raw = rng.uniform(-0.5, 0.5, size=(m, dim, dim))
-        forms = 0.5 * (raw + np.transpose(raw, (0, 2, 1)))
+    additive = rng.uniform(-0.6, 0.6, size=(dim, dim))
+    coeffs = rng.uniform(0.2, 0.8, size=dim)
+    forms = coeffs[:, None, None] * np.eye(dim)[None, :, :]
     seeds = tuple(int(s) for s in rng.integers(100, 2 ** 31, size=4))
     return GroundTruth(additive, forms, delta, seeds)

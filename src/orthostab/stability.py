@@ -122,6 +122,10 @@ ADDITIVE_CASE_COEFFS: dict[str, float] = {
     "hk_total_gap": 72.0,
 }
 
+VERDICT_RTOL = 1e-9  # relative slack of every bound check
+FRESH_PAIR_OFFSET = 7919  # seed offset of the fresh diagnostic pairs
+SPLIT_SUBSAMPLE = 32  # split witnesses taken for an l1/linf relation
+
 
 class DivergenceError(RuntimeError):
     """A component extraction failed to converge.
@@ -143,7 +147,12 @@ class DoublingIdentityError(RuntimeError):
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """Knobs for one pipeline run; defaults match the command line."""
+    """Knobs for one pipeline run; defaults match the command line.
+
+    A report's ``config`` echoes these fields, then the fixed settings
+    ``cap`` (DEFAULT_CAP), ``verdict_rtol``, ``fresh_pair_offset`` and
+    ``split_subsample``.
+    """
 
     pair_count: int = 512
     grid_count: int = 256
@@ -151,10 +160,6 @@ class PipelineConfig:
     seed: int = 42
     tol: float = 1e-10
     n_max: int = 40
-    cap: float = DEFAULT_CAP
-    verdict_rtol: float = 1e-9
-    fresh_pair_offset: int = 7919
-    split_subsample: int = 32
 
     def __post_init__(self):
         if self.pair_count < 2 or self.grid_count < 2:
@@ -190,7 +195,7 @@ class BoundCheck:
 
 
 def _check(name: str, coeff: float, measured: float, eps: float,
-           rtol: float, informational: bool = False) -> BoundCheck:
+           informational: bool = False) -> BoundCheck:
     bound = coeff * eps
     if measured == 0.0:
         ratio = 0.0
@@ -198,7 +203,7 @@ def _check(name: str, coeff: float, measured: float, eps: float,
         ratio = math.inf
     else:
         ratio = measured / bound
-    passed = measured <= bound * (1.0 + rtol)
+    passed = measured <= bound * (1.0 + VERDICT_RTOL)
     return BoundCheck(name, coeff, measured, bound, ratio, passed,
                       informational)
 
@@ -337,18 +342,16 @@ def _parity_residuals(parts: NormalizedParts,
 
 
 def extract_odd(phi: MapHandle, grid: SampleGrid, tol: float = 1e-10,
-                n_max: int = 40, cap: float = DEFAULT_CAP):
+                n_max: int = 40):
     """Additive extraction: Picard limit under phi -> phi(2x)/2."""
-    res = iterate(ScalingOperator(0.5), phi, grid, tol=tol, n_max=n_max,
-                  cap=cap)
+    res = iterate(ScalingOperator(0.5), phi, grid, tol=tol, n_max=n_max)
     return res.limit, res
 
 
 def extract_even(phi: MapHandle, grid: SampleGrid, tol: float = 1e-10,
-                 n_max: int = 40, cap: float = DEFAULT_CAP):
+                 n_max: int = 40):
     """Quadratic extraction: Picard limit under phi -> phi(2x)/4."""
-    res = iterate(ScalingOperator(0.25), phi, grid, tol=tol, n_max=n_max,
-                  cap=cap)
+    res = iterate(ScalingOperator(0.25), phi, grid, tol=tol, n_max=n_max)
     return res.limit, res
 
 
@@ -376,17 +379,15 @@ class RatzDecomposition:
         }
 
 
-def ratz_decompose(t: MapHandle, grid: SampleGrid,
-                   pair_limit: int = 32) -> RatzDecomposition:
+def ratz_decompose(t: MapHandle, grid: SampleGrid) -> RatzDecomposition:
     """Split t into odd + even parts and measure their identities.
 
-    Pairs for the identity checks are all combinations of the first
-    ``pair_limit`` grid points, origin included, with no orthogonality
-    restriction.
+    Pairs for the identity checks are all combinations of the first 32
+    grid points, origin included, with no orthogonality restriction.
     """
     a = odd_part(t)
     p = even_part(t)
-    pts = grid.points[:min(len(grid), pair_limit)]
+    pts = grid.points[:32]
     n = len(pts)
     xs = np.repeat(pts, n, axis=0)
     ys = np.tile(pts, (n, 1))
@@ -401,15 +402,14 @@ def ratz_decompose(t: MapHandle, grid: SampleGrid,
 
 
 def necessity_check(f: MapHandle, t: MapHandle, grid: SampleGrid,
-                    doubling_tol: float = 1e-9,
-                    slack: float = 1e-9) -> dict:
+                    doubling_tol: float = 1e-9) -> dict:
     """Verify the doubling identity t_even(2x) = 4 t_even(x) and its use.
 
     Any corrector within uniform distance of f must satisfy the
     identity exactly; a violation beyond ``doubling_tol`` raises.  The
     measured quantity 2 * sup ||f_even(2x) - 4 f_even(x)|| is then
-    certified against ten times the even-part gap between f and t,
-    taken over the grid and its doubled copy.
+    certified against ten times the even-part gap between f and t over
+    the grid and its doubled copy, plus an absolute slack of 1e-9.
     """
     fe = even_part(f)
     te = even_part(t)
@@ -423,6 +423,7 @@ def necessity_check(f: MapHandle, t: MapHandle, grid: SampleGrid,
     both = np.vstack([pts, 2.0 * pts])
     gap = sup_distance(fe, te, both)
     bound = 10.0 * gap
+    slack = 1e-9
     return {
         "corrector_doubling_residual": t_residual,
         "measured": measured,
@@ -528,12 +529,11 @@ def _require_same_space(maps: Sequence[MapHandle]):
         raise ValueError("all four maps must share source and target dims")
 
 
-def _split_witness_points(rel: OrthoRelation, grid: SampleGrid,
-                          cfg: PipelineConfig) -> np.ndarray:
+def _split_witness_points(rel: OrthoRelation, grid: SampleGrid) -> np.ndarray:
     pts = grid.points[1:]
-    if rel.kind == "birkhoff_james" and rel.norm.kind in ("l1", "linf"):
-        step = max(1, len(pts) // cfg.split_subsample)
-        return pts[::step][:cfg.split_subsample]
+    if rel.polyhedral:
+        step = max(1, len(pts) // SPLIT_SUBSAMPLE)
+        return pts[::step][:SPLIT_SUBSAMPLE]
     return pts
 
 
@@ -596,7 +596,7 @@ def _run_pipeline(rel: OrthoRelation, f: MapHandle, g: MapHandle,
     parts = derive_normalized_parts(f, g, h, k)
 
     def gap(a: MapHandle, b: MapHandle) -> float:
-        return sup_distance(a, b, grid, cap=cfg.cap)
+        return sup_distance(a, b, grid)
 
     # the shifted quadruple is the input itself when every map already
     # vanishes at 0, and then its residual is eps, computed the same way
@@ -619,7 +619,7 @@ def _run_pipeline(rel: OrthoRelation, f: MapHandle, g: MapHandle,
                    ("S", parts.Fe, 0.25), ("S_prime", parts.Ge, 0.25))
     outcomes = iterate_lockstep(
         [(ScalingOperator(lam), phi) for _, phi, lam in extractions], grid,
-        tol=cfg.tol, n_max=cfg.n_max, cap=cfg.cap)
+        tol=cfg.tol, n_max=cfg.n_max)
     for (name, _, _), res in zip(extractions, outcomes):
         if isinstance(res, Exception):
             raise res
@@ -632,7 +632,7 @@ def _run_pipeline(rel: OrthoRelation, f: MapHandle, g: MapHandle,
     t3 = map_sum(map_scale(2.0, s), map_scale(2.0, s2), map_scale(2.0, r),
                  label="T_second")
 
-    witnesses = _split_witness_points(rel, grid, cfg)
+    witnesses = _split_witness_points(rel, grid)
     joint = _joint_even_doubling(rel, parts.Fe, parts.Ge, witnesses)
 
     pts = grid.points
@@ -682,7 +682,7 @@ def _run_pipeline(rel: OrthoRelation, f: MapHandle, g: MapHandle,
             "T_prime": _fingerprint(t2(pts)),
             "T_second": _fingerprint(t3(pts)),
         }
-    bounds = [_check(name, coeff, measured[name], eps, cfg.verdict_rtol)
+    bounds = [_check(name, coeff, measured[name], eps)
               for name, coeff in coeffs.items()
               if measured[name] is not None]
 
@@ -696,7 +696,7 @@ def _run_pipeline(rel: OrthoRelation, f: MapHandle, g: MapHandle,
     # diagnostics: never gated, reported for inspection
     fresh = sample_orthogonal_pairs(rel, dim, cfg.pair_count,
                                     radius=cfg.radius,
-                                    seed=cfg.seed + cfg.fresh_pair_offset)
+                                    seed=cfg.seed + FRESH_PAIR_OFFSET)
     fx, fy = fresh[:, 0, :], fresh[:, 1, :]
     odd_add = _max_row_norm(r(fx + fy) - r(fx) - r(fy),
                             "orthogonal additivity of R")
@@ -721,17 +721,19 @@ def _run_pipeline(rel: OrthoRelation, f: MapHandle, g: MapHandle,
     # T's even part is S's limit lam^n*phi0(2^n x) with lam = 1/4, so its
     # doubling residual is exactly 4 times S's last raw gap (powers of
     # two scale without rounding), and S stopped at a gap of at most
-    # cfg.tol; verdict_rtol is the rounding slack the bounds get too
+    # cfg.tol; VERDICT_RTOL is the rounding slack the bounds get too
     necessity = necessity_check(
-        parts.F, t, grid,
-        doubling_tol=4.0 * cfg.tol * (1.0 + cfg.verdict_rtol))
+        parts.F, t, grid, doubling_tol=4.0 * cfg.tol * (1.0 + VERDICT_RTOL))
 
     return StabilityReport(
         corollary=corollary,
         relation=relation_descriptor(rel),
         dim=dim,
         target_dim=f.target_dim,
-        config=asdict(cfg),
+        config={**asdict(cfg), "cap": DEFAULT_CAP,
+                "verdict_rtol": VERDICT_RTOL,
+                "fresh_pair_offset": FRESH_PAIR_OFFSET,
+                "split_subsample": SPLIT_SUBSAMPLE},
         defects=defects,
         bounds=bounds,
         iterations=iterations,
@@ -745,15 +747,15 @@ def _run_pipeline(rel: OrthoRelation, f: MapHandle, g: MapHandle,
 
 def run_main_theorem(rel: OrthoRelation, f: MapHandle, g: MapHandle,
                      h: MapHandle, k: MapHandle,
-                     config: PipelineConfig | None = None) -> StabilityReport:
+                     config: PipelineConfig = PipelineConfig()
+                     ) -> StabilityReport:
     """Run the full pipeline on a quadruple over the given relation."""
-    cfg = config if config is not None else PipelineConfig()
-    return _run_pipeline(rel, f, g, h, k, cfg, MAIN_BOUND_COEFFS, "main")
+    return _run_pipeline(rel, f, g, h, k, config, MAIN_BOUND_COEFFS, "main")
 
 
 def run_cauchy_corollary(rel: OrthoRelation, f: MapHandle, h: MapHandle,
                          k: MapHandle,
-                         config: PipelineConfig | None = None
+                         config: PipelineConfig = PipelineConfig()
                          ) -> StabilityReport:
     """The additive specialization: g = 0, sharper coefficients.
 
@@ -762,18 +764,17 @@ def run_cauchy_corollary(rel: OrthoRelation, f: MapHandle, h: MapHandle,
     for the ideal corrector but is not guaranteed for the extracted
     one.
     """
-    cfg = config if config is not None else PipelineConfig()
     coeffs = {**MAIN_BOUND_COEFFS, **ADDITIVE_CASE_COEFFS}
     g = zero_map(f.source_dim, f.target_dim)
-    report = _run_pipeline(rel, f, g, h, k, cfg, coeffs, "cauchy")
+    report = _run_pipeline(rel, f, g, h, k, config, coeffs, "cauchy")
     report.bounds.append(_check(
         "hk_total_gap_statement", 16.0, report.bound("hk_total_gap").measured,
-        report.eps_hat, cfg.verdict_rtol, informational=True))
+        report.eps_hat, informational=True))
     return report
 
 
 def run_quadratic_corollary(rel: OrthoRelation, q: MapHandle,
-                            config: PipelineConfig | None = None,
+                            config: PipelineConfig = PipelineConfig(),
                             contaminant: MapHandle | None = None
                             ) -> StabilityReport:
     """The purely quadratic specialization: f = g = q, h = k = 2q.
@@ -784,22 +785,20 @@ def run_quadratic_corollary(rel: OrthoRelation, q: MapHandle,
     run; a fast-growing contaminant drives the even extraction to a
     divergence verdict.
     """
-    cfg = config if config is not None else PipelineConfig()
     if contaminant is not None:
         q = map_sum(q, contaminant, label="Q+contaminant")
     h = map_scale(2.0, q, label="2Q")
-    report = _run_pipeline(rel, q, q, h, h, cfg, MAIN_BOUND_COEFFS,
+    report = _run_pipeline(rel, q, q, h, h, config, MAIN_BOUND_COEFFS,
                            "quadratic")
     report.bounds.append(_check(
         "additive_component_size", 18.0,
-        sup_norm(report.components["R"], report.grid, cap=cfg.cap),
-        report.eps_hat, cfg.verdict_rtol))
+        sup_norm(report.components["R"], report.grid), report.eps_hat))
     return report
 
 
 def run_inner_product_corollary(f: MapHandle, g: MapHandle, h: MapHandle,
                                 k: MapHandle,
-                                config: PipelineConfig | None = None
+                                config: PipelineConfig = PipelineConfig()
                                 ) -> StabilityReport:
     """The pipeline over euclidean orthogonality, dimension >= 3.
 
@@ -809,7 +808,6 @@ def run_inner_product_corollary(f: MapHandle, g: MapHandle, h: MapHandle,
     if f.source_dim < 3:
         raise ValueError(
             "the inner-product specialization needs dimension >= 3")
-    cfg = config if config is not None else PipelineConfig()
     rel = inner_product_relation()
-    return _run_pipeline(rel, f, g, h, k, cfg, MAIN_BOUND_COEFFS,
+    return _run_pipeline(rel, f, g, h, k, config, MAIN_BOUND_COEFFS,
                          "inner_product")

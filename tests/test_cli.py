@@ -286,6 +286,36 @@ class TestSerialization:
                             "verdict,informational")
         assert len(lines) > 10
 
+    @pytest.mark.parametrize("command", ["defect", "axioms", "extract",
+                                         "report"])
+    def test_csv_to_stdout_is_the_table_alone(self, command, tmp_path,
+                                              monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        argv = [command, "--delta", "1e-3", *FAST]
+        assert main([*argv, "--csv", "-"]) == 0
+        out, err = capsys.readouterr()
+        # no file named "-", and no human-readable lines around the table
+        assert list(tmp_path.iterdir()) == []
+        assert err == ""
+        assert main([*argv, "--csv", "table.csv"]) == 0
+        capsys.readouterr()
+        assert out == (tmp_path / "table.csv").read_bytes().decode("ascii")
+
+    def test_csv_to_stdout_beside_a_json_file(self, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        assert main(["defect", *FAST, "--json", str(out), "--csv", "-"]) == 0
+        assert capsys.readouterr().out.startswith("name,value\r\n")
+        assert json.loads(out.read_text())["config"]["command"] == "defect"
+
+    def test_json_and_csv_cannot_share_stdout(self, tmp_path, monkeypatch,
+                                              capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(["defect", *FAST, "--json", "-", "--csv", "-"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert list(tmp_path.iterdir()) == []
+
     def test_extract_json(self, tmp_path):
         out = tmp_path / "it.json"
         assert main(["extract", "--delta", "1e-3", *FAST,

@@ -222,6 +222,20 @@ class TestPredicates:
         with pytest.raises(DimensionMismatchError):
             is_orthogonal(trivial_relation(), [1.0, 0.0], [1.0, 0.0, 0.0])
 
+    @pytest.mark.parametrize("rel, polyhedral", [
+        (trivial_relation(), False),
+        (inner_product_relation(), False),
+        (birkhoff_james_relation("l2"), False),
+        (birkhoff_james_relation(NormSpec.weighted([1.0, 2.0])), False),
+        (birkhoff_james_relation("l1"), True),
+        (birkhoff_james_relation("linf"), True),
+    ], ids=["trivial", "inner", "bj:l2", "bj:weighted", "bj:l1", "bj:linf"])
+    def test_polyhedral_decides_symmetry(self, rel, polyhedral):
+        assert rel.polyhedral is polyhedral
+        assert rel.is_symmetric is not polyhedral
+        sym = symmetrize_relation(rel)
+        assert sym.polyhedral is polyhedral and sym.is_symmetric
+
     def test_bj_euclidean_matches_inner(self):
         rel_bj = birkhoff_james_relation(NormSpec.euclidean(), tol=1e-9)
         rel_ip = inner_product_relation(tol=1e-9)

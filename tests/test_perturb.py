@@ -127,15 +127,11 @@ class TestGroundTruth:
         assert a.noise_seeds == b.noise_seeds
 
     def test_radial_forms(self):
-        gt = random_ground_truth(4, seed=1, radial=True)
+        gt = random_ground_truth(4, seed=1)
         for form in gt.forms:
             off = form - np.diag(np.diag(form))
             assert np.all(off == 0.0)
             assert np.allclose(np.diag(form), form[0, 0])
-
-    def test_general_forms_symmetric(self):
-        gt = random_ground_truth(3, seed=2, radial=False)
-        assert np.allclose(gt.forms, np.transpose(gt.forms, (0, 2, 1)))
 
 
 class TestComposition:

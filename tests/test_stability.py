@@ -1,13 +1,15 @@
 """Pipeline tests: defect oracles, verdict semantics, full runs."""
 
+import dataclasses
 import gc
 import weakref
 
 import numpy as np
 import pytest
 
-from orthostab.funcspace import (EvaluationError, MapHandle, make_grid,
-                                 map_sum, sup_distance, zero_map)
+from orthostab.funcspace import (EvaluationError, MapHandle, SampleGrid,
+                                 make_grid, map_scale, map_sum, sup_distance,
+                                 zero_map)
 from orthostab import funcspace, stability
 from orthostab.orthogonality import (NormSpec, ThalesianNotFoundError,
                                      birkhoff_james_relation,
@@ -36,7 +38,7 @@ EXACT_ZERO_CHECKS = (
     "f_total_gap", "g_total_gap", "hk_total_gap",
 )
 
-SMALL = PipelineConfig(pair_count=96, grid_count=64, split_subsample=8)
+SMALL = PipelineConfig(pair_count=96, grid_count=64)
 
 
 def constant_map(c, source_dim):
@@ -79,21 +81,21 @@ class TestVerdictSemantics:
     def test_boundary_inclusive(self):
         eps = 1e-3
         bound = 2.0 * eps
-        at = _check("x", 2.0, bound * (1.0 + 1e-9), eps, 1e-9)
+        at = _check("x", 2.0, bound * (1.0 + 1e-9), eps)
         assert at.passed
-        above = _check("x", 2.0, bound * (1.0 + 1.1e-9), eps, 1e-9)
+        above = _check("x", 2.0, bound * (1.0 + 1.1e-9), eps)
         assert not above.passed
 
     def test_zero_measured_zero_bound(self):
-        c = _check("x", 2.0, 0.0, 0.0, 1e-9)
+        c = _check("x", 2.0, 0.0, 0.0)
         assert c.passed and c.ratio == 0.0
 
     def test_positive_measured_zero_bound(self):
-        c = _check("x", 2.0, 1e-300, 0.0, 1e-9)
+        c = _check("x", 2.0, 1e-300, 0.0)
         assert not c.passed and c.ratio == np.inf
 
     def test_to_dict_verdict(self):
-        c = _check("x", 2.0, 1.0, 1.0, 1e-9)
+        c = _check("x", 2.0, 1.0, 1.0)
         assert c.to_dict()["verdict"] == "pass"
 
 
@@ -259,8 +261,7 @@ def sequential_extractions(f, g, h, k, cfg):
                                  ("R_prime", parts.Go, extract_odd),
                                  ("S", parts.Fe, extract_even),
                                  ("S_prime", parts.Ge, extract_even)):
-        _, res = extractor(phi, grid, tol=cfg.tol, n_max=cfg.n_max,
-                           cap=cfg.cap)
+        _, res = extractor(phi, grid, tol=cfg.tol, n_max=cfg.n_max)
         if res.verdict != "converged":
             raise DivergenceError(name, res)
 
@@ -543,8 +544,60 @@ class TestBirkhoffJamesPipeline:
         gt = random_ground_truth(2, delta=1e-2, seed=19)
         f, g, h, k = compose_pexider_instance(gt)
         rel = symmetrize_relation(birkhoff_james_relation("l1"))
-        cfg = PipelineConfig(pair_count=64, grid_count=64,
-                             split_subsample=8)
+        cfg = PipelineConfig(pair_count=64, grid_count=64)
         report = run_main_theorem(rel, f, g, h, k, config=cfg)
         assert report.passed
         assert report.diagnostics["split_witness_failures"] == 0
+
+
+class TestFixedSettings:
+    def test_config_has_six_fields(self):
+        assert [f.name for f in dataclasses.fields(PipelineConfig)] == [
+            "pair_count", "grid_count", "radius", "seed", "tol", "n_max"]
+
+    def test_report_echoes_the_fixed_settings_last(self):
+        f, g, h, k = compose_pexider_instance(random_ground_truth(3, seed=1))
+        report = run_main_theorem(inner_product_relation(), f, g, h, k,
+                                  config=SMALL)
+        assert report.config == {
+            **dataclasses.asdict(SMALL), "cap": 1e12, "verdict_rtol": 1e-9,
+            "fresh_pair_offset": 7919, "split_subsample": 32}
+        assert list(report.config)[6:] == [
+            "cap", "verdict_rtol", "fresh_pair_offset", "split_subsample"]
+
+
+def grid_bump(grid: SampleGrid, height: float) -> MapHandle:
+    """An even leaf equal to height in every coordinate on the nonzero
+    grid points and their negatives, and 0 everywhere else."""
+    nonzero = grid.points[1:]
+    marked = {tuple(p) for p in np.concatenate([nonzero, -nonzero])}
+
+    def fn(pts):
+        flat = pts.reshape(-1, pts.shape[-1])
+        hit = np.array([tuple(p) in marked for p in flat], dtype=bool)
+        return np.where(hit.reshape(pts.shape[:-1])[..., None], height,
+                        np.zeros(pts.shape))
+
+    return MapHandle(fn, grid.dim, grid.dim, label="bump", parity="even")
+
+
+class TestKnownFindings:
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+        "eps is measured on the closed pair set only: the closure pairs "
+        "(+-u, 0) and (0, +-u) cancel a bump that f and g carry with "
+        "opposite signs on the grid, no sampled x +- y lands on a grid "
+        "point, and the extractions read the grid"))
+    def test_grid_bump_cancelled_in_the_pairs(self):
+        # at this writing eps_hat is 4.49e-14 and six bounds fail:
+        # joint_even_doubling, g_even_doubling, g_even_gap, f_even_gap,
+        # f_total_gap and g_total_gap (f_even_gap measures 1.7e-3
+        # against a bound of 1.3e-12)
+        cfg = PipelineConfig()
+        f, g, h, k = compose_pexider_instance(random_ground_truth(3, seed=5))
+        bump = grid_bump(make_grid(3, cfg.grid_count, cfg.radius,
+                                   cfg.seed + 1), 1e-3)
+        report = run_main_theorem(inner_product_relation(),
+                                  map_sum(f, bump),
+                                  map_sum(g, map_scale(-1.0, bump)), h, k,
+                                  config=cfg)
+        assert report.passed
