@@ -14,16 +14,20 @@ doubling identity failed, 2 bad input or an internal error, 3 an
 extraction diverged.  A run prints at most one ``error:`` line and
 never a traceback.
 
-``--json PATH`` writes a machine-readable report and ``--csv PATH`` the
-result table; ``-`` for either one (not both) writes it to stdout in
-place of the human-readable lines.  Floats get 17 significant digits
-and no timestamps, so identical configurations give identical bytes.
+Each subcommand returns its exit code, its human-readable lines, the
+body of its JSON report and its CSV table, and one writer puts them out.
+``--json PATH`` writes the body after the run's ``config``, ``--csv
+PATH`` the table, each row ending in CRLF; ``-`` for either one (not
+both) writes it to stdout in place of the lines.  A path that cannot be
+written is bad input.  Floats get 17 significant digits and no
+timestamps, so identical configurations give identical bytes.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import csv
 import math
 import sys
 
@@ -101,23 +105,6 @@ def dump_json_17g(obj, indent: int = 0) -> str:
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def _emit_json(doc: dict, path: str):
-    text = dump_json_17g(doc) + "\n"
-    if path == "-":
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="ascii") as fh:
-            fh.write(text)
-
-
-def _emit_csv(rows: list, header: list, path: str):
-    import csv
-
-    with (contextlib.nullcontext(sys.stdout) if path == "-" else
-          open(path, "w", newline="", encoding="ascii")) as fh:
-        csv.writer(fh).writerows([header, *rows])
-
-
 def parse_args(argv=None) -> argparse.Namespace:
     parser = argparse.ArgumentParser(
         prog="orthostab",
@@ -190,137 +177,41 @@ def _config_echo(args: argparse.Namespace, auto_sym: bool) -> dict:
     return doc
 
 
-def _pipeline_config(args: argparse.Namespace) -> PipelineConfig:
-    return PipelineConfig(pair_count=args.pairs, grid_count=args.samples,
-                          radius=args.radius, seed=args.seed, tol=args.tol,
-                          n_max=args.n_max)
+def _tag(passed: bool, informational: bool = False) -> str:
+    tag = "pass" if passed else "fail"
+    return "info-" + tag if informational else tag.upper()
 
 
-def _print_bounds(report):
-    for c in report.bounds:
-        tag = "PASS" if c.passed else "FAIL"
-        if c.informational:
-            tag = "info-" + tag.lower()
-        print(f"  {tag:9s} {c.name:24s} measured={c.measured:.6e} "
-              f"bound={c.bound:.6e} ratio={c.ratio:.3e}")
+def _gap_ends(res) -> tuple:
+    """First and last raw gap of an extraction, 0 for a run with none."""
+    return (res.raw_gaps[0], res.raw_gaps[-1]) if res.raw_gaps else (0.0, 0.0)
 
 
-def _report_command(args: argparse.Namespace, runner) -> int:
-    rel = _build_relation(args.relation)
-    auto_sym = rel.polyhedral
-    if auto_sym:
-        # the pipeline uses sampled pairs in both roles, which needs a
-        # symmetric relation; the closure is recorded in the output
-        rel = symmetrize_relation(rel)
-    cfg = _pipeline_config(args)
-    echo = _config_echo(args, auto_sym)
-    try:
-        gt = random_ground_truth(args.dim, delta=args.delta, seed=args.seed)
-        report = runner(rel, cfg, gt)
-    except DivergenceError as err:
-        print(f"divergence in component {err.component!r}: "
-              f"{err.result.verdict} after {err.result.n_steps} steps",
-            file=sys.stderr)
-        if args.json:
-            doc = {"config": echo,
-                   "divergence": {
-                       "component": err.component,
-                       "verdict": err.result.verdict,
-                       "n_steps": err.result.n_steps,
-                       "raw_gaps": err.result.raw_gaps,
-                   }}
-            _emit_json(doc, args.json)
-        # an exhausted budget is a failed bound, as in extract
-        return 3 if err.result.verdict == "diverged" else 1
-
-    quiet = "-" in (args.json, args.csv)
-    if not quiet:
-        print(f"relation: {report.relation['kind']} (dim {report.dim}, "
-              f"{args.command})")
-        print(f"pexider defect:      {report.defects.pexider:.6e}")
-        print(f"even doubling:       {report.defects.even_doubling:.6e}")
-        print(f"mixed parity:        "
-              f"{report.defects.literal_mixed_parity:.6e}")
-        print("bounds:")
-        _print_bounds(report)
-        nec = "PASS" if report.necessity["passed"] else "FAIL"
-        print(f"necessity check:     {nec} "
-              f"(measured={report.necessity['measured']:.6e}, "
-              f"bound={report.necessity['bound']:.6e})")
-        print(f"overall: {'PASS' if report.passed else 'FAIL'} "
-              f"(eps_hat={report.eps_hat:.6e})")
-    if args.json:
-        _emit_json({"config": echo, "report": report.to_dict()}, args.json)
-    if args.csv:
-        rows = [[c.name, _fmt(c.coefficient), _fmt(c.measured),
-                 _fmt(c.bound), _fmt(c.ratio),
-                 "pass" if c.passed else "fail",
-                 "yes" if c.informational else "no"]
-                for c in report.bounds]
-        _emit_csv(rows, ["name", "coefficient", "measured", "bound",
-                         "ratio", "verdict", "informational"], args.csv)
-    return 0 if report.passed else 1
+def _iteration_table(runs: dict) -> list:
+    return [["component", "verdict", "steps", "first_gap", "last_gap"],
+            *([name, res.verdict, res.n_steps, *map(_fmt, _gap_ends(res))]
+              for name, res in runs.items())]
 
 
-def _cmd_report(args: argparse.Namespace) -> int:
-    def runner(rel, cfg, gt):
-        return run_main_theorem(rel, *compose_pexider_instance(gt), cfg)
-
-    return _report_command(args, runner)
-
-
-def _cmd_cauchy(args: argparse.Namespace) -> int:
-    def runner(rel, cfg, gt):
-        return run_cauchy_corollary(rel, *compose_cauchy_instance(gt), cfg)
-
-    return _report_command(args, runner)
-
-
-def _cmd_quadratic(args: argparse.Namespace) -> int:
-    def runner(rel, cfg, gt):
-        q = compose_quadratic_instance(gt)
-        contaminant = None
-        if args.cubic is not None:
-            contaminant = make_cubic_growth(args.cubic, args.dim, args.dim)
-        return run_quadratic_corollary(rel, q, cfg, contaminant=contaminant)
-
-    return _report_command(args, runner)
-
-
-def _cmd_axioms(args: argparse.Namespace) -> int:
-    rel = _build_relation(args.relation)
+def _cmd_axioms(args: argparse.Namespace, rel) -> tuple:
     report = check_axioms(rel, args.dim, n_samples=args.samples,
                           seed=args.seed, radius=args.radius)
-    quiet = "-" in (args.json, args.csv)
-    if not quiet:
-        print(f"relation: {report.relation['kind']} (dim {args.dim})")
-        for name, chk in report.checks.items():
-            tag = "PASS" if chk.passed else "FAIL"
-            if name == "symmetry":
-                tag = "info-" + tag.lower()
-            print(f"  {tag:9s} {name:16s} tested={chk.tested} "
-                  f"failures={chk.failures}")
-        print(f"overall: {'PASS' if report.passed else 'FAIL'} "
-              f"(symmetric: {report.symmetric})")
-    if args.json:
-        doc = {"config": _config_echo(args, False),
-               "axioms": report.to_dict()}
-        _emit_json(doc, args.json)
-    if args.csv:
-        rows = [[name, "pass" if c.passed else "fail", c.tested, c.failures]
-                for name, c in report.checks.items()]
-        _emit_csv(rows, ["name", "verdict", "tested", "failures"], args.csv)
-    return 0 if report.passed else 1
+    lines = [f"relation: {report.relation['kind']} (dim {args.dim})",
+             *(f"  {_tag(c.passed, name == 'symmetry'):9s} {name:16s} "
+               f"tested={c.tested} failures={c.failures}"
+               for name, c in report.checks.items()),
+             f"overall: {_tag(report.passed)} "
+             f"(symmetric: {report.symmetric})"]
+    table = [["name", "verdict", "tested", "failures"],
+             *([name, _tag(c.passed).lower(), c.tested, c.failures]
+               for name, c in report.checks.items())]
+    return (0 if report.passed else 1,
+            lines, {"axioms": report.to_dict()}, table)
 
 
-def _build_instance(args: argparse.Namespace):
+def _cmd_defect(args: argparse.Namespace, rel) -> tuple:
     gt = random_ground_truth(args.dim, delta=args.delta, seed=args.seed)
-    return compose_pexider_instance(gt)
-
-
-def _cmd_defect(args: argparse.Namespace) -> int:
-    rel = _build_relation(args.relation)
-    f, g, h, k = _build_instance(args)
+    f, g, h, k = compose_pexider_instance(gt)
     pairs = sample_orthogonal_pairs(rel, args.dim, args.pairs,
                                     radius=args.radius, seed=args.seed)
     grid = make_grid(args.dim, args.samples, args.radius, args.seed + 1)
@@ -328,28 +219,22 @@ def _cmd_defect(args: argparse.Namespace) -> int:
     eps = pexider_defect(f, g, h, k, closed)
     dbl = doubling_defect(f, grid)
     mix = mixed_parity_defect(f, grid)
-    quiet = "-" in (args.json, args.csv)
-    if not quiet:
-        print(f"pexider defect:      {eps:.6e}")
-        print(f"even doubling:       {dbl:.6e}")
-        print(f"mixed parity:        {mix:.6e}")
-        print(f"pairs measured:      {closed.shape[0]}")
-    if args.json:
-        doc = {"config": _config_echo(args, False),
-               "defects": {"pexider": eps, "even_doubling": dbl,
-                           "literal_mixed_parity": mix},
-               "closure_pair_count": int(closed.shape[0])}
-        _emit_json(doc, args.json)
-    if args.csv:
-        rows = [["pexider", _fmt(eps)],
-                ["even_doubling", _fmt(dbl)],
-                ["literal_mixed_parity", _fmt(mix)]]
-        _emit_csv(rows, ["name", "value"], args.csv)
-    return 0
+    lines = [f"pexider defect:      {eps:.6e}",
+             f"even doubling:       {dbl:.6e}",
+             f"mixed parity:        {mix:.6e}",
+             f"pairs measured:      {closed.shape[0]}"]
+    defects = {"pexider": eps, "even_doubling": dbl,
+               "literal_mixed_parity": mix}
+    body = {"defects": defects, "closure_pair_count": int(closed.shape[0])}
+    table = [["name", "value"],
+             *([name, _fmt(v)] for name, v in defects.items())]
+    return 0, lines, body, table
 
 
-def _cmd_extract(args: argparse.Namespace) -> int:
-    f, g, h, k = _build_instance(args)
+def _cmd_extract(args: argparse.Namespace, rel) -> tuple:
+    # the extractions read no orthogonality relation
+    gt = random_ground_truth(args.dim, delta=args.delta, seed=args.seed)
+    f, g, h, k = compose_pexider_instance(gt)
     if args.cubic is not None:
         f = map_sum(f, make_cubic_growth(args.cubic, args.dim, args.dim),
                     label="f+cubic")
@@ -361,34 +246,70 @@ def _cmd_extract(args: argparse.Namespace) -> int:
                 ("R_prime", parts.Go, extract_odd),
                 ("S", parts.Fe, extract_even),
                 ("S_prime", parts.Ge, extract_even))}
-    # first and last raw gap of each run, 0 for a run with none
-    ends = {name: (res.raw_gaps[0], res.raw_gaps[-1]) if res.raw_gaps
-            else (0.0, 0.0) for name, res in runs.items()}
-    quiet = "-" in (args.json, args.csv)
-    if not quiet:
-        for name, res in runs.items():
-            print(f"  {name:8s} {res.verdict:28s} steps={res.n_steps:3d} "
-                  f"gap0={ends[name][0]:.3e} gapN={ends[name][1]:.3e}")
-    if args.json:
-        doc = {"config": _config_echo(args, False),
-               "iterations": {
-                   name: {"verdict": res.verdict, "n_steps": res.n_steps,
-                          "lam": res.lam,
-                          "per_step_distances": res.per_step_distances,
-                          "raw_gaps": res.raw_gaps}
-                   for name, res in runs.items()}}
-        _emit_json(doc, args.json)
-    if args.csv:
-        rows = [[name, res.verdict, res.n_steps, _fmt(ends[name][0]),
-                 _fmt(ends[name][1])] for name, res in runs.items()]
-        _emit_csv(rows, ["component", "verdict", "steps", "first_gap",
-                         "last_gap"], args.csv)
+    lines = [f"  {name:8s} {res.verdict:28s} steps={res.n_steps:3d} "
+             f"gap0={first:.3e} gapN={last:.3e}"
+             for name, res in runs.items() for first, last in [_gap_ends(res)]]
+    body = {"iterations": {
+        name: {"verdict": res.verdict, "n_steps": res.n_steps,
+               "lam": res.lam, "per_step_distances": res.per_step_distances,
+               "raw_gaps": res.raw_gaps}
+        for name, res in runs.items()}}
     verdicts = {res.verdict for res in runs.values()}
-    if "diverged" in verdicts:
-        return 3
-    if verdicts != {"converged"}:
-        return 1
-    return 0
+    code = (3 if "diverged" in verdicts else
+            0 if verdicts == {"converged"} else 1)
+    return code, lines, body, _iteration_table(runs)
+
+
+def _cmd_report(args: argparse.Namespace, rel) -> tuple:
+    """The full pipeline for ``report``, ``cauchy`` or ``quadratic``."""
+    cfg = PipelineConfig(pair_count=args.pairs, grid_count=args.samples,
+                         radius=args.radius, seed=args.seed, tol=args.tol,
+                         n_max=args.n_max)
+    gt = random_ground_truth(args.dim, delta=args.delta, seed=args.seed)
+    try:
+        if args.command == "report":
+            report = run_main_theorem(rel, *compose_pexider_instance(gt), cfg)
+        elif args.command == "cauchy":
+            report = run_cauchy_corollary(rel, *compose_cauchy_instance(gt),
+                                          cfg)
+        else:
+            q = compose_quadratic_instance(gt)
+            contaminant = (None if args.cubic is None else
+                           make_cubic_growth(args.cubic, args.dim, args.dim))
+            report = run_quadratic_corollary(rel, q, cfg,
+                                             contaminant=contaminant)
+    except DivergenceError as err:
+        res = err.result
+        print(f"divergence in component {err.component!r}: "
+              f"{res.verdict} after {res.n_steps} steps", file=sys.stderr)
+        body = {"divergence": {"component": err.component,
+                               "verdict": res.verdict,
+                               "n_steps": res.n_steps,
+                               "raw_gaps": res.raw_gaps}}
+        # an exhausted budget is a failed bound, as in extract
+        return (3 if res.verdict == "diverged" else 1,
+                [], body, _iteration_table({err.component: res}))
+    d, nec = report.defects, report.necessity
+    lines = [f"relation: {report.relation['kind']} (dim {report.dim}, "
+             f"{args.command})",
+             f"pexider defect:      {d.pexider:.6e}",
+             f"even doubling:       {d.even_doubling:.6e}",
+             f"mixed parity:        {d.literal_mixed_parity:.6e}",
+             "bounds:",
+             *(f"  {_tag(c.passed, c.informational):9s} {c.name:24s} "
+               f"measured={c.measured:.6e} bound={c.bound:.6e} "
+               f"ratio={c.ratio:.3e}" for c in report.bounds),
+             f"necessity check:     {_tag(nec['passed'])} "
+             f"(measured={nec['measured']:.6e}, bound={nec['bound']:.6e})",
+             f"overall: {_tag(report.passed)} "
+             f"(eps_hat={report.eps_hat:.6e})"]
+    table = [["name", "coefficient", "measured", "bound", "ratio",
+              "verdict", "informational"],
+             *([c.name, _fmt(c.coefficient), _fmt(c.measured), _fmt(c.bound),
+                _fmt(c.ratio), _tag(c.passed).lower(),
+                "yes" if c.informational else "no"] for c in report.bounds)]
+    return (0 if report.passed else 1,
+            lines, {"report": report.to_dict()}, table)
 
 
 _COMMANDS = {
@@ -396,9 +317,36 @@ _COMMANDS = {
     "defect": _cmd_defect,
     "extract": _cmd_extract,
     "report": _cmd_report,
-    "cauchy": _cmd_cauchy,
-    "quadratic": _cmd_quadratic,
+    "cauchy": _cmd_report,
+    "quadratic": _cmd_report,
 }
+
+
+def _output(path: str):
+    return (contextlib.nullcontext(sys.stdout) if path == "-" else
+            open(path, "w", newline="", encoding="ascii"))
+
+
+def _write(args: argparse.Namespace, auto_sym: bool, code: int,
+           lines: list, body: dict, table: list) -> int:
+    """Put out a command's result as asked; returns the exit code."""
+    if "-" not in (args.json, args.csv):
+        for line in lines:
+            print(line)
+    try:
+        if args.json:
+            text = dump_json_17g({"config": _config_echo(args, auto_sym),
+                                  **body})
+            with _output(args.json) as fh:
+                fh.write(text + "\n")
+        if args.csv:
+            with _output(args.csv) as fh:
+                csv.writer(fh).writerows(table)
+    except OSError as err:
+        # an output path that cannot be opened or written is bad input
+        print(f"error: {err}", file=sys.stderr)
+        return 2
+    return code
 
 
 def execute(args: argparse.Namespace) -> int:
@@ -436,12 +384,19 @@ def execute(args: argparse.Namespace) -> int:
               file=sys.stderr)
         return 2
     try:
+        rel = _build_relation(args.relation)
+        # the pipeline uses sampled pairs in both roles, which needs a
+        # symmetric relation; the closure is recorded in the output
+        auto_sym = _COMMANDS[args.command] is _cmd_report and rel.polyhedral
+        if auto_sym:
+            rel = symmetrize_relation(rel)
         # just below the guards an intermediate can still overflow: the
         # split probe's lam*x - y0 with lam up to 10, or f(x + y).  Every
         # measured value is checked for finiteness, so numpy's warnings
         # would only print ahead of that verdict
         with np.errstate(over="ignore", invalid="ignore"):
-            return _COMMANDS[args.command](args)
+            return _write(args, auto_sym,
+                          *_COMMANDS[args.command](args, rel))
     except (DimensionMismatchError, PairGenerationError,
             ThalesianNotFoundError, EvaluationError, ValueError,
             DoublingIdentityError) as err:

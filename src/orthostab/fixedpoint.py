@@ -39,8 +39,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .funcspace import (DEFAULT_CAP, INFINITE, EvaluationError, MapHandle,
-                        SampleGrid, evaluation_scope, map_sum, scaled_points,
+from .funcspace import (DEFAULT_CAP, EvaluationError, MapHandle, SampleGrid,
+                        evaluation_scope, map_sum, scaled_points,
                         sup_distance)
 
 __all__ = [
@@ -250,7 +250,4 @@ def apriori_bound(phi: MapHandle, op: ScalingOperator,
     Bounds the distance from phi to the limit of its own Picard
     iteration whenever that iteration converges.
     """
-    d0 = sup_distance(phi, apply(op, phi), grid)
-    if d0 == INFINITE:
-        return INFINITE
-    return d0 / (1.0 - op.lam)
+    return sup_distance(phi, apply(op, phi), grid) / (1.0 - op.lam)

@@ -273,8 +273,7 @@ def inner_product_relation(tol: float = DEFAULT_TOL) -> OrthoRelation:
 
 
 def birkhoff_james_relation(norm: NormSpec | str | None = None,
-                            tol: float = DEFAULT_TOL,
-                            symmetrized: bool = False) -> OrthoRelation:
+                            tol: float = DEFAULT_TOL) -> OrthoRelation:
     """Directed norm orthogonality; ``norm`` may be a shorthand string."""
     if isinstance(norm, str):
         name = norm.lower()
@@ -286,8 +285,7 @@ def birkhoff_james_relation(norm: NormSpec | str | None = None,
             norm = NormSpec.linf()
         else:
             raise ValueError(f"unknown norm shorthand {norm!r}")
-    return OrthoRelation("birkhoff_james", norm or NormSpec.euclidean(),
-                         tol, symmetrized)
+    return OrthoRelation("birkhoff_james", norm or NormSpec.euclidean(), tol)
 
 
 def symmetrize_relation(rel: OrthoRelation) -> OrthoRelation:

@@ -44,7 +44,7 @@ __all__ = [
 _FORM_SYMMETRY_TOL = 1e-14
 
 
-def make_additive(matrix, label: str = "A") -> MapHandle:
+def make_additive(matrix) -> MapHandle:
     """The linear (hence additive and odd) map x -> Mx."""
     m = np.array(matrix, dtype=float)
     if m.ndim != 2:
@@ -52,10 +52,10 @@ def make_additive(matrix, label: str = "A") -> MapHandle:
     if not np.all(np.isfinite(m)):
         raise ValueError("coefficient matrix has non-finite entries")
     return MapHandle(lambda pts, _m=m: pts @ _m.T,
-                     m.shape[1], m.shape[0], label=label, parity="odd")
+                     m.shape[1], m.shape[0], label="A", parity="odd")
 
 
-def make_quadratic(forms, label: str = "P") -> MapHandle:
+def make_quadratic(forms) -> MapHandle:
     """The quadratic (even) map x -> (x^T B_k x)_k for symmetric B_k."""
     b = np.array(forms, dtype=float)
     if b.ndim != 3 or b.shape[1] != b.shape[2]:
@@ -67,7 +67,7 @@ def make_quadratic(forms, label: str = "P") -> MapHandle:
         raise ValueError("forms must be symmetric; symmetrize before use")
     return MapHandle(
         lambda pts, _b=b: np.einsum("...i,kij,...j->...k", pts, _b, pts),
-        b.shape[1], b.shape[0], label=label, parity="even")
+        b.shape[1], b.shape[0], label="P", parity="even")
 
 
 def make_bounded_noise(delta: float, seed: int, source_dim: int,

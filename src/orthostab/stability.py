@@ -402,7 +402,7 @@ def ratz_decompose(t: MapHandle, grid: SampleGrid) -> RatzDecomposition:
 
 
 def necessity_check(f: MapHandle, t: MapHandle, grid: SampleGrid,
-                    doubling_tol: float = 1e-9) -> dict:
+                    doubling_tol: float) -> dict:
     """Verify the doubling identity t_even(2x) = 4 t_even(x) and its use.
 
     Any corrector within uniform distance of f must satisfy the

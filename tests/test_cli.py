@@ -324,3 +324,28 @@ class TestSerialization:
         assert set(doc["iterations"]) == {"R", "R_prime", "S", "S_prime"}
         for rec in doc["iterations"].values():
             assert rec["verdict"] == "converged"
+
+    @pytest.mark.parametrize("flag", ["--json", "--csv"])
+    def test_unwritable_output_path_is_usage_error(self, flag, tmp_path,
+                                                   capsys):
+        path = tmp_path / "missing" / "out"
+        assert main(["defect", *FAST, flag, str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err == ("error: [Errno 2] No such file or directory: "
+                       f"'{path}'\n")
+
+    @pytest.mark.parametrize("argv, code", [
+        (["quadratic", "--cubic", "1.0"], 3),
+        (["report", "--n-max", "0", "--delta", "0.01"], 1),
+    ], ids=["diverged", "budget-exhausted"])
+    def test_divergent_report_writes_its_csv(self, argv, code, tmp_path):
+        doc, table = tmp_path / "r.json", tmp_path / "r.csv"
+        assert main([*argv, *FAST, "--json", str(doc),
+                     "--csv", str(table)]) == code
+        div = json.loads(doc.read_text())["divergence"]
+        gaps = [g if isinstance(g, str) else _fmt(g)
+                for g in div["raw_gaps"]]
+        assert table.read_text().splitlines() == [
+            "component,verdict,steps,first_gap,last_gap",
+            f"{div['component']},{div['verdict']},{div['n_steps']},"
+            f"{gaps[0]},{gaps[-1]}"]

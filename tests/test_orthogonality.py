@@ -439,7 +439,9 @@ class TestThalesian:
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_every_polyhedral_row_splits(self, norm, symmetrized, dim,
                                          scale):
-        rel = birkhoff_james_relation(norm, symmetrized=symmetrized)
+        rel = birkhoff_james_relation(norm)
+        if symmetrized:
+            rel = symmetrize_relation(rel)
         pts = split_points(dim, seed=3 * dim) * scale
         lams = np.random.default_rng(dim).uniform(0.0, 10.0, size=len(pts))
         lams[::5] = 1.0

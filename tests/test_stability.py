@@ -526,7 +526,7 @@ class TestNecessity:
                                      np.diag([1.0, 2.0, 3.0])]))
         t = map_sum(a, p)
         grid = make_grid(3, 32, 8.0, seed=1)
-        out = necessity_check(t, t, grid)
+        out = necessity_check(t, t, grid, doubling_tol=1e-9)
         assert out["passed"]
         assert out["measured"] == 0.0
         assert out["corrector_doubling_residual"] == 0.0
@@ -536,7 +536,7 @@ class TestNecessity:
         f = make_quadratic(np.eye(3)[None, :, :])
         bad = make_cubic_growth(1.0, 3, 1)
         with pytest.raises(DoublingIdentityError):
-            necessity_check(f, bad, grid)
+            necessity_check(f, bad, grid, doubling_tol=1e-9)
 
 
 class TestBirkhoffJamesPipeline:
