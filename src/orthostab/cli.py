@@ -19,7 +19,8 @@ body of its JSON report and its CSV table, and one writer puts them out.
 ``--json PATH`` writes the body after the run's ``config``, ``--csv
 PATH`` the table, each row ending in CRLF; ``-`` for either one (not
 both) writes it to stdout in place of the lines.  A path that cannot be
-written is bad input.  Floats get 17 significant digits and no
+written is bad input; one in a directory that does not exist is refused
+before the run.  Floats get 17 significant digits and no
 timestamps, so identical configurations give identical bytes.
 """
 
@@ -28,7 +29,9 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import errno
 import math
+import os
 import sys
 
 import numpy as np
@@ -158,19 +161,10 @@ def parse_args(argv=None) -> argparse.Namespace:
 
 
 def _config_echo(args: argparse.Namespace, auto_sym: bool) -> dict:
-    doc = {
-        "command": args.command,
-        "relation": args.relation,
-        "dim": args.dim,
-        "samples": args.samples,
-        "pairs": args.pairs,
-        "radius": args.radius,
-        "delta": args.delta,
-        "seed": args.seed,
-        "tol": args.tol,
-        "n_max": args.n_max,
-        "auto_symmetrized": auto_sym,
-    }
+    doc = {key: getattr(args, key) for key in (
+        "command", "relation", "dim", "samples", "pairs", "radius", "delta",
+        "seed", "tol", "n_max")}
+    doc["auto_symmetrized"] = auto_sym
     cubic = getattr(args, "cubic", None)
     if cubic is not None:
         doc["cubic"] = cubic
@@ -383,6 +377,14 @@ def execute(args: argparse.Namespace) -> int:
         print("error: --json - and --csv - cannot both write to stdout",
               file=sys.stderr)
         return 2
+    for path in (args.json, args.csv):
+        # refused before the run; other write failures show when writing
+        if path not in (None, "-") and not os.path.exists(
+                os.path.dirname(path) or "."):
+            err = FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT),
+                                    path)
+            print(f"error: {err}", file=sys.stderr)
+            return 2
     try:
         rel = _build_relation(args.relation)
         # the pipeline uses sampled pairs in both roles, which needs a

@@ -701,9 +701,9 @@ def sample_orthogonal_pairs(rel: OrthoRelation, dim: int, count: int,
     in the kernel of a norming functional of x, kept only with a margin
     well inside the predicate's tolerance (l1/linf Birkhoff-James).
 
-    Rows are drawn one after another from the seeded generator, and a
-    try that fails is redrawn, up to eight times per partner; the
-    arithmetic runs on all rows at once (see ``_batched``).
+    Rows are drawn one after another, two generator calls a draw
+    (``_draws``); a try that fails is redrawn, up to eight times per
+    partner, and the arithmetic runs on all rows at once (``_batched``).
     """
     if dim < 2:
         raise DimensionMismatchError("orthogonality spaces need dim >= 2")
@@ -725,15 +725,17 @@ def sample_orthogonal_pairs(rel: OrthoRelation, dim: int, count: int,
 def _draws(rng: np.random.Generator, n: int, k: int, dim: int):
     # n rows of k draws normal(dim), uniform(0.1, 1.0) each, in the order
     # a row takes them when none is redrawn; part j of every row is
-    # vs[j], us[j]
-    normal, uniform = rng.normal, rng.uniform
+    # vs[j], us[j].  The raw variates are mapped once, as normal and
+    # uniform map each: loc + scale*z, low + range*u, the same bits
+    fill, uniform = rng.standard_normal, rng.random
     vs = np.empty((n * k, dim))
     us = np.empty(n * k)
     for i in range(n * k):
-        vs[i] = normal(size=dim)
-        us[i] = uniform(0.1, 1.0)
-    return (np.ascontiguousarray(vs.reshape(n, k, dim).transpose(1, 0, 2)),
-            us.reshape(n, k).T)
+        fill(out=vs[i])
+        us[i] = uniform()
+    return (np.ascontiguousarray(
+                (0.0 + 1.0 * vs).reshape(n, k, dim).transpose(1, 0, 2)),
+            (0.1 + (1.0 - 0.1) * us).reshape(n, k).T)
 
 
 def _batched(rng: np.random.Generator, out: np.ndarray, first_try,

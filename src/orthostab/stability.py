@@ -237,12 +237,33 @@ def _max_row_norm(arr: np.ndarray, what: str) -> float:
     return sup
 
 
+def _slot_residuals(quads: list, pairs: np.ndarray) -> list[np.ndarray]:
+    """Rows ((f(x+y) + g(x-y)) - h(x)) - k(y) for each (f, g, h, k).
+
+    One pass over the slots x+y, x-y, x, y, each built when reached and
+    read in a scope of its own, where the quadruples share their leaf
+    evaluations; each value is folded into its running sum in place.
+    """
+    xs, ys = pairs[:, 0, :], pairs[:, 1, :]
+    slots = ((None, lambda: xs + ys), (np.add, lambda: xs - ys),
+             (np.subtract, lambda: xs), (np.subtract, lambda: ys))
+    sums = []
+    for j, (fold, points) in enumerate(slots):
+        pts = points()
+        with evaluation_scope():
+            for i, quad in enumerate(quads):
+                if fold is None:
+                    # a copy: a leaf hands out the scope's stored value
+                    sums.append(np.array(quad[j](pts)))
+                else:
+                    fold(sums[i], quad[j](pts), out=sums[i])
+    return sums
+
+
 def pexider_defect(f: MapHandle, g: MapHandle, h: MapHandle, k: MapHandle,
                    pairs: np.ndarray) -> float:
-    """sup over pairs of ||f(x+y) + g(x-y) - h(x) - k(y)||."""
-    pairs = np.asarray(pairs, dtype=float)
-    xs, ys = pairs[:, 0, :], pairs[:, 1, :]
-    res = f(xs + ys) + g(xs - ys) - h(xs) - k(ys)
+    """sup over pairs of ||f(x+y) + g(x-y) - h(x) - k(y)||, as a slot pass."""
+    (res,) = _slot_residuals([(f, g, h, k)], np.asarray(pairs, dtype=float))
     return _max_row_norm(res, "the equation residual")
 
 
@@ -310,35 +331,6 @@ def derive_normalized_parts(f: MapHandle, g: MapHandle, h: MapHandle,
         odd_part(K), even_part(K),
         odd_part(L), even_part(L),
     )
-
-
-def _parity_residuals(parts: NormalizedParts,
-                      pairs: np.ndarray) -> tuple[float, float]:
-    """The equation residuals of the odd and of the even projections.
-
-    Both are accumulated one argument slot at a time (x+y, x-y, x, y),
-    each slot in an evaluation scope of its own, so the two parts of a
-    map share its leaf evaluations on that slot.  Each sum keeps the
-    order ((f + g) - h) - k of ``pexider_defect``.
-    """
-    xs, ys = pairs[:, 0, :], pairs[:, 1, :]
-
-    def add_slot(sums, combine, odd_map, even_map, pts):
-        with evaluation_scope():
-            odd, even = odd_map(pts), even_map(pts)
-        # added after the scope has dropped the slot's leaf values, so
-        # the new sums are never made while those are still held
-        return combine(sums[0], odd), combine(sums[1], even)
-
-    with evaluation_scope():
-        pts = xs + ys
-        sums = parts.Fo(pts), parts.Fe(pts)
-    del pts
-    sums = add_slot(sums, np.add, parts.Go, parts.Ge, xs - ys)
-    sums = add_slot(sums, np.subtract, parts.Ho, parts.He, xs)
-    sums = add_slot(sums, np.subtract, parts.Ko, parts.Ke, ys)
-    return (_max_row_norm(sums[0], "the equation residual"),
-            _max_row_norm(sums[1], "the equation residual"))
 
 
 def extract_odd(phi: MapHandle, grid: SampleGrid, tol: float = 1e-10,
@@ -558,17 +550,18 @@ def _run_pipeline(rel: OrthoRelation, f: MapHandle, g: MapHandle,
 
     Where several measurements read the same leaf maps on one point
     set, they run inside one evaluation scope, so each leaf is
-    evaluated once on it: the odd and the even residual take the
-    closure pairs' slots x+y, x-y, x and y one at a time, and the four
-    extractions climb the dyadic ladder 2^n * grid in lockstep, one
-    scope per level.  A failed extraction is raised for the first of
-    R, R', S, S' that fails, with the error one run after another
+    evaluated once on it: eps and the odd, the even and (when the
+    shift moved a map) the shifted residual take the closure pairs'
+    slots x+y, x-y, x and y in one pass, one scope per slot, and the
+    four extractions climb the dyadic ladder 2^n * grid in lockstep,
+    one scope per level.  A failed extraction is raised for the first
+    of R, R', S, S' that fails, with the error one run after another
     would give.  Once all four have converged, the measurements on the
     grid and its scaled copies (the gaps, the a-priori bounds, the
     doubling and parity diagnostics and the fingerprints) share one
     scope, so each limit reads phi0 on 2^n * grid once for all of
-    them.  The defect diagnostics share a scope of their own ahead of
-    the residuals, where a failure of theirs is reported first.  The
+    them.  The defect diagnostics share a scope of their own; a failure
+    of theirs is reported after one of eps, before the residuals'.  The
     split-witness and fresh-pair diagnostics, the corrector scaling
     residuals and the necessity check run outside any scope: most of
     what they read (the witnesses, the fresh pairs, each limit on the
@@ -584,33 +577,35 @@ def _run_pipeline(rel: OrthoRelation, f: MapHandle, g: MapHandle,
     grid = make_grid(dim, cfg.grid_count, cfg.radius, cfg.seed + 1)
     closed = closure_pairs(pairs, grid)
 
-    eps = pexider_defect(f, g, h, k, closed)
-    # measured ahead of the residuals and the extractions, so that one
-    # of these diagnostics failing is the error the run reports first
+    parts = derive_normalized_parts(f, g, h, k)
+    shifted = (parts.F, parts.G, parts.H, parts.K)
+    # the shifted quadruple is the input itself when every map already
+    # vanishes at 0, and then its residual is eps.  The projections go
+    # first: a full map reads only leaves they have stored by then
+    unshifted = all(a is b for a, b in zip(shifted, (f, g, h, k)))
+    quads = [(parts.Fo, parts.Go, parts.Ho, parts.Ko),
+             (parts.Fe, parts.Ge, parts.He, parts.Ke), (f, g, h, k), shifted]
+    rows = _slot_residuals(quads[:3] if unshifted else quads, closed)
+    what = "the equation residual"
+    eps = _max_row_norm(rows[2], what)
+    # measured ahead of the other residuals and the extractions, so
+    # that one of these diagnostics failing is the error reported next
     with evaluation_scope():
         defects = DefectReport(
             pexider=eps,
             even_doubling=doubling_defect(f, grid),
             literal_mixed_parity=mixed_parity_defect(f, grid),
         )
-    parts = derive_normalized_parts(f, g, h, k)
+    # distance name -> measured value, in the order of MAIN_BOUND_COEFFS
+    measured: dict[str, float | None] = {
+        "shifted_residual": eps if unshifted else _max_row_norm(rows[3], what),
+        "odd_part_residual": _max_row_norm(rows[0], what),
+        "even_part_residual": _max_row_norm(rows[1], what),
+    }
+    del rows
 
     def gap(a: MapHandle, b: MapHandle) -> float:
         return sup_distance(a, b, grid)
-
-    # the shifted quadruple is the input itself when every map already
-    # vanishes at 0, and then its residual is eps, computed the same way
-    unshifted = all(a is b for a, b in zip(
-        (parts.F, parts.G, parts.H, parts.K), (f, g, h, k)))
-    shifted_residual = eps if unshifted else pexider_defect(
-        parts.F, parts.G, parts.H, parts.K, closed)
-    odd_residual, even_residual = _parity_residuals(parts, closed)
-    # distance name -> measured value, in the order of MAIN_BOUND_COEFFS
-    measured: dict[str, float | None] = {
-        "shifted_residual": shifted_residual,
-        "odd_part_residual": odd_residual,
-        "even_part_residual": even_residual,
-    }
 
     # the four extractions climb the dyadic ladder in lockstep; failures
     # are raised in the order R, R', S, S', as one run after another

@@ -327,12 +327,19 @@ class TestSerialization:
 
     @pytest.mark.parametrize("flag", ["--json", "--csv"])
     def test_unwritable_output_path_is_usage_error(self, flag, tmp_path,
-                                                   capsys):
+                                                   capsys, monkeypatch):
+        def not_run(args, rel):
+            raise AssertionError("the command ran")
+
+        # refused before the command runs, and nothing is created
+        monkeypatch.setitem(cli._COMMANDS, "defect", not_run)
         path = tmp_path / "missing" / "out"
         assert main(["defect", *FAST, flag, str(path)]) == 2
-        err = capsys.readouterr().err
+        out, err = capsys.readouterr()
+        assert out == ""
         assert err == ("error: [Errno 2] No such file or directory: "
                        f"'{path}'\n")
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("argv, code", [
         (["quadratic", "--cubic", "1.0"], 3),

@@ -509,3 +509,29 @@ def test_sampler_fails_as_the_reference_does(rel, dim, radius):
     assert outcomes == [_sampled(ref_sample_orthogonal_pairs, rel, dim, 12,
                                  radius, s) for s in range(4)]
     assert any(isinstance(out, tuple) for out in outcomes)
+
+
+def ref_draws(rng, n, k, dim):
+    """n rows of k draws, each normal(size=dim) then uniform(0.1, 1.0)."""
+    vs = np.empty((n * k, dim))
+    us = np.empty(n * k)
+    for i in range(n * k):
+        vs[i] = rng.normal(size=dim)
+        us[i] = rng.uniform(0.1, 1.0)
+    return (np.ascontiguousarray(vs.reshape(n, k, dim).transpose(1, 0, 2)),
+            us.reshape(n, k).T)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("dim", [2, 3, 8, 64])
+def test_draws_match_the_per_row_calls(dim, k):
+    # _draws maps raw variates through loc + scale*z and low + range*u
+    # itself; where the generator's C code rounds these differently
+    # (say, low + range*u fused into one multiply-add), this fails
+    for seed in range(50):
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        got, want = orth._draws(rng, 37, k, dim), ref_draws(ref, 37, k, dim)
+        for a, b in zip(got, want):
+            assert a.shape == b.shape
+            assert a.tobytes() == b.tobytes(), seed
+        assert rng.bit_generator.state == ref.bit_generator.state, seed

@@ -327,8 +327,10 @@ class TestLeafEvaluations:
         run_main_theorem(inner_product_relation(), f, g, h, k)
         # each leaf evaluated afresh on every call, before evaluation
         # scopes: 239446 points in 625 calls; with scopes over the
-        # residual slots and the ladder only, 166334 points in 473 calls
-        assert sum(n for n, _, _ in log) <= 131382
+        # residual slots and the ladder only, 166334 points in 473 calls;
+        # with eps measured apart from the parity residuals, 131382
+        # points in 337 calls
+        assert sum(n for n, _, _ in log) <= 108843
 
     @pytest.mark.parametrize("cubic", [None, 1.0])
     def test_no_value_outlives_the_run(self, cubic):
@@ -415,6 +417,111 @@ class TestJointEvenDoubling:
         want = per_point_joint_even_doubling(rel, parts.Fe, parts.Ge, pts)
         assert got.shape == (len(pts), 1, dim)
         assert got.tobytes() == want.tobytes()
+
+
+def ref_residual(f, g, h, k, pairs):
+    """The equation residual as one expression, each map called afresh."""
+    xs, ys = pairs[:, 0, :], pairs[:, 1, :]
+    return stability._max_row_norm(
+        f(xs + ys) + g(xs - ys) - h(xs) - k(ys), "the equation residual")
+
+
+def ref_parity_residuals(parts, pairs):
+    """The odd and the even residual, a scope per slot for both parts."""
+    xs, ys = pairs[:, 0, :], pairs[:, 1, :]
+
+    def add_slot(sums, combine, odd_map, even_map, pts):
+        with funcspace.evaluation_scope():
+            odd, even = odd_map(pts), even_map(pts)
+        return combine(sums[0], odd), combine(sums[1], even)
+
+    with funcspace.evaluation_scope():
+        pts = xs + ys
+        sums = parts.Fo(pts), parts.Fe(pts)
+    sums = add_slot(sums, np.add, parts.Go, parts.Ge, xs - ys)
+    sums = add_slot(sums, np.subtract, parts.Ho, parts.He, xs)
+    sums = add_slot(sums, np.subtract, parts.Ko, parts.Ke, ys)
+    return (stability._max_row_norm(sums[0], "the equation residual"),
+            stability._max_row_norm(sums[1], "the equation residual"))
+
+
+def slot_pass_closure(rel):
+    """The closure pairs a run with the SMALL configuration measures."""
+    pairs = stability.sample_orthogonal_pairs(
+        rel, 3, SMALL.pair_count, radius=SMALL.radius, seed=SMALL.seed)
+    grid = make_grid(3, SMALL.grid_count, SMALL.radius, SMALL.seed + 1)
+    return closure_pairs(pairs, grid)
+
+
+class TestSlotPass:
+    """eps and the residuals of one slot pass, against the expressions
+    they were measured with one at a time."""
+
+    @pytest.mark.parametrize("name", ["trivial", "inner", "bj:l1", "bj:l2",
+                                      "bj:linf"])
+    @pytest.mark.parametrize("kind", ["main", "cauchy", "quadratic"])
+    @pytest.mark.parametrize("delta", [0.0, 0.01])
+    def test_residuals_equal_the_references(self, name, kind, delta):
+        rel = SPLIT_RELATIONS[name](3)
+        gt = random_ground_truth(3, delta=delta, seed=5)
+        if kind == "main":
+            quad = compose_pexider_instance(gt)
+            report = run_main_theorem(rel, *quad, SMALL)
+        elif kind == "cauchy":
+            f, h, k = compose_cauchy_instance(gt)
+            quad = f, zero_map(3, 3), h, k
+            report = run_cauchy_corollary(rel, f, h, k, SMALL)
+        else:
+            q = compose_quadratic_instance(gt)
+            quad = q, q, map_scale(2.0, q), map_scale(2.0, q)
+            report = run_quadratic_corollary(rel, q, SMALL)
+        closed = slot_pass_closure(rel)
+        eps = ref_residual(*quad, closed)
+        assert report.diagnostics["closure_pair_count"] == len(closed)
+        assert pexider_defect(*quad, closed) == eps
+        assert report.eps_hat == eps
+        assert report.bound("shifted_residual").measured == eps
+        odd, even = ref_parity_residuals(derive_normalized_parts(*quad),
+                                         closed)
+        assert report.bound("odd_part_residual").measured == odd
+        assert report.bound("even_part_residual").measured == even
+
+    @pytest.mark.parametrize("delta", [0.0, 0.01])
+    def test_shifted_quadruple(self, delta, monkeypatch):
+        # f, h and k do not vanish at 0, so the shifted quadruple is
+        # measured too; the extractions then refuse the shifted maps,
+        # whose constant summands do not vanish at 0, so the residuals
+        # are read as the run measures them
+        f, g, h, k = compose_pexider_instance(
+            random_ground_truth(3, delta=delta, seed=5))
+        f = map_sum(f, constant_map([0.5, -1.0, 2.0], 3))
+        h = map_sum(h, constant_map([1.5, 0.0, 0.25], 3))
+        k = map_sum(k, constant_map([-1.0, 2.0, 1.0], 3))
+        rel = inner_product_relation()
+        closed = slot_pass_closure(rel)
+        parts = derive_normalized_parts(f, g, h, k)
+        assert parts.F is not f
+        eps = ref_residual(f, g, h, k, closed)
+        shifted = ref_residual(parts.F, parts.G, parts.H, parts.K, closed)
+        assert shifted != eps
+        assert pexider_defect(f, g, h, k, closed) == eps
+
+        measured = []
+        norm = stability._max_row_norm
+
+        def recording(arr, what):
+            value = norm(arr, what)
+            if what == "the equation residual":
+                measured.append(value)
+            return value
+
+        monkeypatch.setattr(stability, "_max_row_norm", recording)
+        with pytest.raises(ValueError, match="requires phi\\(0\\) = 0"):
+            run_main_theorem(rel, f, g, h, k, SMALL)
+        monkeypatch.undo()
+        # in the order the run reports a failure of theirs
+        assert measured == [eps, shifted,
+                            *ref_parity_residuals(parts, closed)]
 
 
 class TestCauchyCorollary:
