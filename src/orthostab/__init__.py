@@ -25,8 +25,8 @@ from .orthogonality import (DEFAULT_TOL, AxiomReport, DimensionMismatchError,
 from .funcspace import (INFINITE, EvaluationError, MapHandle, SampleGrid,
                         even_part, make_grid, map_scale, map_sum, odd_part,
                         shift_to_zero, sup_distance, sup_norm, zero_map)
-from .fixedpoint import (IterationResult, ScalingOperator, apply,
-                         apriori_bound, iterate)
+from .fixedpoint import (IterationResult, ScalingOperator, apriori_bound,
+                         iterate)
 from .perturb import (GroundTruth, compose_cauchy_instance,
                       compose_pexider_instance, compose_quadratic_instance,
                       make_additive, make_bounded_noise, make_cubic_growth,

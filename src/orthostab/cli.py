@@ -353,7 +353,7 @@ def execute(args: argparse.Namespace) -> int:
         print("error: --samples and --pairs must be at least 2",
               file=sys.stderr)
         return 2
-    if args.radius <= 0 or args.tol <= 0 or args.delta < 0:
+    if not (args.radius > 0 and args.tol > 0 and args.delta >= 0):
         print("error: --radius and --tol must be positive, --delta "
               "nonnegative", file=sys.stderr)
         return 2

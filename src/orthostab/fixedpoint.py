@@ -16,9 +16,10 @@ a leaf map that several phi0 share (both parities of one noise map,
 the quadratic part of f and of g) is evaluated once per level.  A run
 leaves the ladder when it stops or when evaluating its phi0 raises;
 the others go on.  ``iterate`` is its one-run case.  A limit handle
-and ``apply`` read phi at 2^n x and 2x through ``scaled_points``, so in
-an evaluation scope the measurements that read one limit, or phi and
-J phi, on one grid share its leaf evaluations there.
+reads phi at 2^n x through ``scaled_points``, so in an evaluation
+scope the measurements that read one limit on one grid share its leaf
+evaluations there.  ``apriori_bound`` reads d(phi, J phi) off a run's
+first gap, which the ladder has already measured.
 
 A run reports three verdicts.  "converged" means the gap between
 consecutive iterates fell below tolerance; "diverged" means the gap
@@ -39,14 +40,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .funcspace import (DEFAULT_CAP, EvaluationError, MapHandle, SampleGrid,
-                        evaluation_scope, map_sum, scaled_points,
+# sup_distance stays imported: perfbench/tracing.py patches it here by name
+from .funcspace import (DEFAULT_CAP, INFINITE, EvaluationError, MapHandle,
+                        SampleGrid, evaluation_scope, scaled_points,
                         sup_distance)
 
 __all__ = [
     "ScalingOperator",
     "IterationResult",
-    "apply",
     "iterate",
     "iterate_lockstep",
     "apriori_bound",
@@ -69,28 +70,6 @@ def _require_anchored(phi: MapHandle):
         raise ValueError(
             f"operator domain requires phi(0) = 0, got map {phi.label!r} "
             "with a nonzero value at the origin")
-
-
-def apply(op: ScalingOperator, phi: MapHandle) -> MapHandle:
-    """One application of the operator, as a new map handle.
-
-    Distributes over stored summands, which preserves parity tags; for
-    power-of-two lam the distributed and direct evaluations agree
-    bitwise.
-    """
-    _require_anchored(phi)
-    if phi.is_zero_map:
-        return phi
-    if phi.terms is not None:
-        return map_sum(*[apply(op, t) for t in phi.terms],
-                       label=f"J[{phi.label}]")
-    lam = op.lam
-    scaled = MapHandle(lambda pts, _f=phi, _l=lam:
-                       _l * _f(scaled_points(2.0, pts)),
-                       phi.source_dim, phi.target_dim,
-                       label=f"J[{phi.label}]", parity=phi.parity,
-                       _derived=True)
-    return scaled
 
 
 @dataclass
@@ -243,11 +222,12 @@ def _result(op: ScalingOperator, phi0: MapHandle, raw_c: list,
     return IterationResult(verdict, n_stop, lam, limit, per_step, raw_gaps)
 
 
-def apriori_bound(phi: MapHandle, op: ScalingOperator,
-                  grid: SampleGrid) -> float:
-    """The fixed-point a-priori estimate d(phi, J phi) / (1 - lam).
+def apriori_bound(res: IterationResult) -> float:
+    """A run's a-priori estimate d(phi0, J phi0) / (1 - lam).
 
-    Bounds the distance from phi to the limit of its own Picard
-    iteration whenever that iteration converges.
+    On the grid, d(phi0, J phi0) is the run's first raw gap, so no map
+    is evaluated; past DEFAULT_CAP the estimate is INFINITE.  It bounds
+    the distance from phi0 to its limit whenever the run converges.
     """
-    return sup_distance(phi, apply(op, phi), grid) / (1.0 - op.lam)
+    c0 = res.raw_gaps[0]
+    return INFINITE if c0 > DEFAULT_CAP else c0 / (1.0 - res.lam)

@@ -16,16 +16,16 @@ derived, and only combine their values.  Inside an
 ``evaluation_scope`` block each leaf is evaluated at most once per
 point array: a second call of the same handle on the same array object
 returns the stored value, read-only.  The handles that read a map at
-scaled points (the parity projections at -x, the operator's J phi at
-2x, a Picard limit at 2^n x) take them from ``scaled_points``, which
-in a block computes c * x once per factor c and point array and keeps
-it, read-only, so the handles reading one scaled set share its leaf
-evaluations too: the even and the odd part of an untagged leaf, or a
-limit and a doubling residual.  Multiplying by -1 or a power of two
-is exact, so the shared values are the very bits a fresh evaluation
-gives.  The stored arrays belong to the block and are dropped when it
-exits; point arrays must not change while it is open (a grid's are
-read-only).  Outside a block every call evaluates afresh.
+scaled points (the parity projections at -x, a Picard limit at 2^n x)
+take them from ``scaled_points``, which in a block computes c * x once
+per factor c and point array and keeps it, read-only, so the handles
+reading one scaled set share its leaf evaluations too: the even and
+the odd part of an untagged leaf, or a limit and a doubling residual.
+Multiplying by -1 or a power of two is exact, so the shared values are
+the very bits a fresh evaluation gives.  The stored arrays belong to
+the block and are dropped when it exits; point arrays must not change
+while it is open (a grid's are read-only).  Outside a block every call
+evaluates afresh.
 
 The module also provides the sample grids that stand in for the domain
 and the capped sup distance that stands in for the uniform norm.  A

@@ -557,16 +557,16 @@ def _run_pipeline(rel: OrthoRelation, f: MapHandle, g: MapHandle,
     one scope per level.  A failed extraction is raised for the first
     of R, R', S, S' that fails, with the error one run after another
     would give.  Once all four have converged, the measurements on the
-    grid and its scaled copies (the gaps, the a-priori bounds, the
-    doubling and parity diagnostics and the fingerprints) share one
-    scope, so each limit reads phi0 on 2^n * grid once for all of
-    them.  The defect diagnostics share a scope of their own; a failure
-    of theirs is reported after one of eps, before the residuals'.  The
-    split-witness and fresh-pair diagnostics, the corrector scaling
-    residuals and the necessity check run outside any scope: most of
-    what they read (the witnesses, the fresh pairs, each limit on the
-    doubled grid) no other measurement reads, so storing it would only
-    cost memory.
+    grid and its scaled copies (the gaps, the doubling and parity
+    diagnostics and the fingerprints) share one scope, so each limit
+    reads phi0 on 2^n * grid once for all of them; the a-priori bounds
+    come from the ladder's first gaps.  The defect diagnostics share a
+    scope of their own; a failure of theirs is reported after one of
+    eps, before the residuals'.  The split-witness and fresh-pair
+    diagnostics, the corrector scaling residuals and the necessity
+    check run outside any scope: most of what they read (the
+    witnesses, the fresh pairs, each limit on the doubled grid) no
+    other measurement reads, so storing it would only cost memory.
     """
     _require_compatible(rel)
     _require_same_space([f, g, h, k])
@@ -637,8 +637,7 @@ def _run_pipeline(rel: OrthoRelation, f: MapHandle, g: MapHandle,
                 "verdict": res.verdict,
                 "lam": res.lam,
                 "n_steps": res.n_steps,
-                "apriori": apriori_bound(phi, ScalingOperator(res.lam),
-                                         grid),
+                "apriori": apriori_bound(res),
                 "final_distance": gap(phi, res.limit),
                 "per_step_distances": res.per_step_distances,
                 "raw_gaps": res.raw_gaps,

@@ -110,6 +110,23 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    # every comparison with NaN is false, so the guard must ask for the
+    # valid range rather than test for the invalid one
+    @pytest.mark.parametrize("option", ["--radius", "--tol", "--delta"])
+    @pytest.mark.parametrize("command", ["axioms", "defect", "extract",
+                                         "report", "cauchy", "quadratic"])
+    def test_nan_setting_is_usage_error(self, command, option, capsys,
+                                        monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the command ran")
+
+        monkeypatch.setitem(cli._COMMANDS, command, refuse)
+        assert main([command, option, "nan", *FAST]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: --radius and --tol must be positive, "
+                                "--delta nonnegative\n")
+
     # a numpy overflow warning would print to stderr before the error line
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("argv", [

@@ -10,13 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orthostab import funcspace
-from orthostab.fixedpoint import ScalingOperator, apply, iterate
+from orthostab.fixedpoint import ScalingOperator, iterate
 from orthostab.funcspace import (DEFAULT_CAP, INFINITE, EvaluationError,
                                  MapHandle, SampleGrid, evaluation_scope,
                                  even_part, make_grid, map_scale, map_sum,
                                  odd_part, scaled_points, shift_to_zero,
                                  sup_distance, sup_norm, zero_map)
 from orthostab.orthogonality import DimensionMismatchError
+from test_fixedpoint import reference_apply
 
 
 def linear(mat, **kw):
@@ -206,8 +207,8 @@ class TestScaledPoints:
         n = res.n_steps
         assert n >= 2
 
-        maps = [even_part(leaf), odd_part(leaf), apply(op, leaf),
-                apply(op, even_part(leaf)), res.limit, res.limit]
+        maps = [even_part(leaf), odd_part(leaf), reference_apply(op, leaf),
+                reference_apply(op, even_part(leaf)), res.limit, res.limit]
 
         def measure():
             return ([m(grid.points) for m in maps]
