@@ -44,6 +44,7 @@ import numpy as np
 from .funcspace import (DEFAULT_CAP, INFINITE, EvaluationError, MapHandle,
                         SampleGrid, evaluation_scope, scaled_points,
                         sup_distance)
+from .orthogonality import row_sums
 
 __all__ = [
     "ScalingOperator",
@@ -163,7 +164,7 @@ def iterate_lockstep(runs: Sequence[tuple[ScalingOperator, MapHandle]],
                     outcome[i] = err
                     continue
                 diff = cur[i] - op.lam * nxt
-                c_n = float(np.max(np.sqrt(np.sum(diff * diff, axis=-1))))
+                c_n = float(np.max(np.sqrt(row_sums(diff * diff))))
                 raw_c[i].append(c_n)
                 gap = lam_pow[i] * c_n
                 if gap <= tol:

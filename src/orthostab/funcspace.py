@@ -44,7 +44,7 @@ from typing import Callable
 
 import numpy as np
 
-from .orthogonality import DimensionMismatchError
+from .orthogonality import DimensionMismatchError, row_sums
 
 __all__ = [
     "INFINITE",
@@ -370,7 +370,7 @@ def _capped_sup(vals: np.ndarray, what: str) -> float:
     # the largest row length, or INFINITE past DEFAULT_CAP
     if not np.all(np.isfinite(vals)):
         raise EvaluationError(f"non-finite values {what}")
-    sup = float(np.max(np.sqrt(np.sum(vals * vals, axis=-1))))
+    sup = float(np.max(np.sqrt(row_sums(vals * vals))))
     return INFINITE if sup > DEFAULT_CAP else sup
 
 

@@ -146,9 +146,9 @@ def norm_eval(spec: NormSpec, x) -> float | np.ndarray:
     """Evaluate the norm along the last axis; scalar out for 1-D input."""
     arr = np.asarray(x, dtype=float)
     if spec.kind == "euclidean":
-        out = np.sqrt(np.sum(arr * arr, axis=-1))
+        out = np.sqrt(row_sums(arr * arr))
     elif spec.kind == "l1":
-        out = np.sum(np.abs(arr), axis=-1)
+        out = row_sums(np.abs(arr))
     elif spec.kind == "linf":
         out = np.max(np.abs(arr), axis=-1)
     else:
@@ -157,7 +157,7 @@ def norm_eval(spec: NormSpec, x) -> float | np.ndarray:
             raise DimensionMismatchError(
                 f"weighted norm has {w.shape[0]} weights, point has "
                 f"dimension {arr.shape[-1]}")
-        out = np.sqrt(np.sum(w * arr * arr, axis=-1))
+        out = np.sqrt(row_sums(w * arr * arr))
     if out.ndim == 0:
         return float(out)
     return out
@@ -192,7 +192,7 @@ def _bj_margins(spec: NormSpec, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     y = ys[live] / ny[live, None]
     if spec.kind in ("euclidean", "weighted"):
         w = 1.0 if spec.kind == "euclidean" else np.asarray(spec.weights)
-        c = np.sum(w * x * y, axis=1)
+        c = row_sums(w * x * y)
         # ||x - c*y|| - 1 = -c^2 / (1 + ||x - c*y||), accurate whether y
         # is nearly orthogonal or nearly parallel to x
         r = np.atleast_1d(norm_eval(spec, x - c[:, None] * y))
@@ -202,8 +202,7 @@ def _bj_margins(spec: NormSpec, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
             t = -x / y
         # y_i = 0 and out-of-bracket breakpoints fall back to t = 0
         t = np.where(np.abs(t) <= 2.0, t, 0.0)
-        vals = np.sum(np.abs(x[:, None, :] + t[:, :, None] * y[:, None, :]),
-                      axis=2)
+        vals = row_sums(np.abs(x[:, None, :] + t[:, :, None] * y[:, None, :]))
         m = np.min(vals, axis=1) - 1.0
     else:
         ay = np.abs(y)
@@ -309,6 +308,18 @@ def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     # rows NumPy runs its one-row kernel per row, while a 2-D product of
     # the whole block may round some rows differently
     return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
+def row_sums(a: np.ndarray) -> np.ndarray:
+    """np.sum(a, axis=-1) bit for bit, without one NumPy call per row."""
+    # below 8 columns NumPy adds each row left to right from 0.0, as
+    # adding whole columns in turn does; from 8 on it sums pairwise
+    if not 0 < a.shape[-1] < 8:
+        return np.sum(a, axis=-1)
+    out = 0.0 + a[..., 0]
+    for j in range(1, a.shape[-1]):
+        out += a[..., j]
+    return out
 
 
 def _max_minors(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
@@ -816,8 +827,8 @@ def _directions(rel: OrthoRelation, xs: np.ndarray, vs: np.ndarray):
         w = (np.asarray(rel.norm.weights)
              if rel.kind == "birkhoff_james" and rel.norm.kind == "weighted"
              else 1.0)
-        ds = vs - (np.sum(w * vs * xs, axis=1)
-                   / np.sum(w * xs * xs, axis=1))[:, None] * xs
+        ds = vs - (row_sums(w * vs * xs)
+                   / row_sums(w * xs * xs))[:, None] * xs
         nd = np.sqrt(_row_dots(ds, ds))
         return ds, nd, nd > 1e-8
     # l1/linf Birkhoff-James: x _|_ y exactly when some norming

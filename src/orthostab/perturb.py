@@ -28,6 +28,7 @@ import numpy as np
 
 from .funcspace import (MapHandle, even_part, map_scale, map_sum, odd_part,
                         zero_map)
+from .orthogonality import row_sums
 
 __all__ = [
     "GroundTruth",
@@ -56,7 +57,11 @@ def make_additive(matrix) -> MapHandle:
 
 
 def make_quadratic(forms) -> MapHandle:
-    """The quadratic (even) map x -> (x^T B_k x)_k for symmetric B_k."""
+    """The quadratic (even) map x -> (x^T B_k x)_k for symmetric B_k.
+
+    Diagonal forms add (x_i B_kii) x_i in i order: the einsum other forms
+    take, less its +-0 terms, with the same bits at finite points.
+    """
     b = np.array(forms, dtype=float)
     if b.ndim != 3 or b.shape[1] != b.shape[2]:
         raise ValueError("quadratic maps need a stack of square forms")
@@ -65,9 +70,19 @@ def make_quadratic(forms) -> MapHandle:
     skew = np.max(np.abs(b - np.transpose(b, (0, 2, 1))))
     if skew > _FORM_SYMMETRY_TOL * (1.0 + np.max(np.abs(b))):
         raise ValueError("forms must be symmetric; symmetrize before use")
-    return MapHandle(
-        lambda pts, _b=b: np.einsum("...i,kij,...j->...k", pts, _b, pts),
-        b.shape[1], b.shape[0], label="P", parity="even")
+    diag = np.diagonal(b, axis1=1, axis2=2)
+    if np.array_equal(b, diag[:, :, None] * np.eye(b.shape[1])):
+        def fn(pts, _d=diag.T.copy()):
+            out, t = 0.0, np.empty(pts.shape[:-1] + _d.shape[1:])
+            for i, d in enumerate(_d):
+                np.multiply(pts[..., i, None], d, out=t)
+                t *= pts[..., i, None]
+                out += t  # the first term makes a new array
+            return out
+    else:
+        def fn(pts, _b=b):
+            return np.einsum("...i,kij,...j->...k", pts, _b, pts)
+    return MapHandle(fn, b.shape[1], b.shape[0], label="P", parity="even")
 
 
 def make_bounded_noise(delta: float, seed: int, source_dim: int,
@@ -92,9 +107,11 @@ def make_bounded_noise(delta: float, seed: int, source_dim: int,
     amp = delta / math.sqrt(target_dim)
 
     def fn(pts, _w=freq, _p=phase, _a=amp):
-        r = np.sqrt(np.sum(pts * pts, axis=-1, keepdims=True))
+        r = np.sqrt(row_sums(pts * pts))[..., None]
         env = r / (1.0 + r)
-        return _a * env * np.cos(pts @ _w.T + _p)
+        z = pts @ _w.T
+        z += _p
+        return np.multiply(np.cos(z, out=z), _a * env, out=z)
 
     base = MapHandle(fn, source_dim, target_dim, label=label)
     if parity == "even":
@@ -118,7 +135,7 @@ def make_cubic_growth(amp: float, source_dim: int,
         raise ValueError("amp must be finite")
 
     def fn(pts, _a=amp):
-        r = np.sqrt(np.sum(pts * pts, axis=-1))
+        r = np.sqrt(row_sums(pts * pts))
         out = np.zeros(pts.shape[:-1] + (target_dim,))
         out[..., 0] = _a * r ** 3
         return out

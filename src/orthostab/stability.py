@@ -64,7 +64,7 @@ from .funcspace import (DEFAULT_CAP, EvaluationError, MapHandle, SampleGrid,
                         evaluation_scope, even_part, make_grid, map_scale,
                         map_sum, odd_part, scaled_points, shift_to_zero,
                         sup_distance, sup_norm, zero_map)
-from .orthogonality import (OrthoRelation, inner_product_relation,
+from .orthogonality import (OrthoRelation, inner_product_relation, row_sums,
                             sample_orthogonal_pairs, symmetrize_relation,
                             relation_descriptor, thalesian_solve)
 
@@ -231,7 +231,7 @@ class DefectReport:
 def _max_row_norm(arr: np.ndarray, what: str) -> float:
     # also catches finite rows whose squared norms overflow to inf
     with np.errstate(over="ignore"):
-        sup = float(np.max(np.sqrt(np.sum(arr * arr, axis=-1))))
+        sup = float(np.max(np.sqrt(row_sums(arr * arr))))
     if not math.isfinite(sup):
         raise EvaluationError(f"non-finite values measuring {what}")
     return sup
@@ -483,10 +483,9 @@ class StabilityReport:
 
 
 def _fingerprint(arr: np.ndarray) -> str:
-    # a memoryview hands out Python floats one at a time: faster to
-    # format than NumPy scalars, with no list of them all held at once
-    values = memoryview(np.ascontiguousarray(arr, float).ravel())
-    text = ",".join(map("{:.17g}".format, values))
+    # one %-format call spells every value as "{:.17g}" does, comma-joined
+    values = np.ascontiguousarray(arr, float).ravel().tolist()
+    text = ("%.17g," * len(values) % tuple(values))[:-1]
     return hashlib.sha256(text.encode("ascii")).hexdigest()
 
 

@@ -2,6 +2,7 @@
 
 import dataclasses
 import gc
+import hashlib
 import weakref
 
 import numpy as np
@@ -10,7 +11,7 @@ import pytest
 from orthostab.funcspace import (EvaluationError, MapHandle, SampleGrid,
                                  make_grid, map_scale, map_sum, sup_distance,
                                  zero_map)
-from orthostab import funcspace, stability
+from orthostab import cli, funcspace, stability
 from orthostab.orthogonality import (NormSpec, ThalesianNotFoundError,
                                      birkhoff_james_relation,
                                      inner_product_relation,
@@ -701,6 +702,20 @@ class TestFixedSettings:
             "cap", "verdict_rtol", "fresh_pair_offset", "split_subsample"]
 
 
+class TestFingerprint:
+    def test_matches_the_joined_17g_text(self):
+        rng = np.random.default_rng(0)
+        values = np.concatenate([
+            [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1e308,
+             -1e308, 1.0, -3.0, 2.0 ** 53, 1e16, 12345678.0],
+            rng.standard_normal(500) * 10.0 ** rng.integers(-300, 300, 500)])
+        rows = values.reshape(128, 4)
+        for arr in (values, rows, rows.T, values[:0]):
+            text = ",".join(map("{:.17g}".format, arr.ravel().tolist()))
+            assert (stability._fingerprint(arr)
+                    == hashlib.sha256(text.encode("ascii")).hexdigest())
+
+
 def grid_bump(grid: SampleGrid, height: float) -> MapHandle:
     """An even leaf equal to height in every coordinate on the nonzero
     grid points and their negatives, and 0 everywhere else."""
@@ -736,3 +751,12 @@ class TestKnownFindings:
                                   map_sum(g, map_scale(-1.0, bump)), h, k,
                                   config=cfg)
         assert report.passed
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+        "a --tol at or above an extraction's first gap stops it at level 0 "
+        "with phi0 as its own limit: the gaps read 0 and the necessity "
+        "check's 4*tol slack covers any doubling residual, so the verdict "
+        "cannot fail (ROADMAP items 3 and 5)"))
+    def test_huge_tol_hides_a_diverging_cubic(self, capsys):
+        # the default tol and --tol 1 exit 3 (diverged) on this instance
+        assert cli.main(["quadratic", "--cubic", "1.0", "--tol", "1e300"]) == 3
