@@ -19,9 +19,10 @@ body of its JSON report and its CSV table, and one writer puts them out.
 ``--json PATH`` writes the body after the run's ``config``, ``--csv
 PATH`` the table, each row ending in CRLF; ``-`` for either one (not
 both) writes it to stdout in place of the lines.  A path that cannot be
-written is bad input; one in a directory that does not exist is refused
-before the run.  Floats get 17 significant digits and no
-timestamps, so identical configurations give identical bytes.
+written is bad input; one in a directory that does not exist, or one
+file named by both, is refused before the run.  Floats get 17
+significant digits and no timestamps, so identical configurations give
+identical bytes.
 """
 
 from __future__ import annotations
@@ -30,13 +31,15 @@ import argparse
 import contextlib
 import csv
 import errno
+import functools
 import math
 import os
 import sys
 
 import numpy as np
 
-from .funcspace import EvaluationError, make_grid, map_sum
+from .funcspace import (EvaluationError, evaluation_scope, make_grid,
+                        map_sum)
 from .orthogonality import (DimensionMismatchError, PairGenerationError,
                             ThalesianNotFoundError, birkhoff_james_relation,
                             check_axioms, inner_product_relation,
@@ -108,7 +111,9 @@ def dump_json_17g(obj, indent: int = 0) -> str:
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def parse_args(argv=None) -> argparse.Namespace:
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    # built once per process: building it costs about a millisecond
     parser = argparse.ArgumentParser(
         prog="orthostab",
         description="numerical stability laboratory for the pexiderized "
@@ -156,8 +161,11 @@ def parse_args(argv=None) -> argparse.Namespace:
                             help="quadratic specialization report")
     p_quad.add_argument("--cubic", type=float, metavar="AMP", default=None,
                         help="contaminate the instance with AMP*||x||^3")
+    return parser
 
-    return parser.parse_args(argv)
+
+def parse_args(argv=None) -> argparse.Namespace:
+    return _parser().parse_args(argv)
 
 
 def _config_echo(args: argparse.Namespace, auto_sym: bool) -> dict:
@@ -211,8 +219,8 @@ def _cmd_defect(args: argparse.Namespace, rel) -> tuple:
     grid = make_grid(args.dim, args.samples, args.radius, args.seed + 1)
     closed = closure_pairs(pairs, grid)
     eps = pexider_defect(f, g, h, k, closed)
-    dbl = doubling_defect(f, grid)
-    mix = mixed_parity_defect(f, grid)
+    with evaluation_scope():
+        dbl, mix = doubling_defect(f, grid), mixed_parity_defect(f, grid)
     lines = [f"pexider defect:      {eps:.6e}",
              f"even doubling:       {dbl:.6e}",
              f"mixed parity:        {mix:.6e}",
@@ -338,53 +346,51 @@ def _write(args: argparse.Namespace, auto_sym: bool, code: int,
                 csv.writer(fh).writerows(table)
     except OSError as err:
         # an output path that cannot be opened or written is bad input
-        print(f"error: {err}", file=sys.stderr)
-        return 2
+        return _error(err)
     return code
+
+
+def _error(why: object) -> int:
+    """Print one error line; returns the exit code of bad input."""
+    print(f"error: {why}", file=sys.stderr)
+    return 2
 
 
 def execute(args: argparse.Namespace) -> int:
     """Run a parsed command; returns the process exit code."""
     if args.dim < 2:
-        print("error: --dim must be at least 2 (orthogonality needs "
-              "independent directions)", file=sys.stderr)
-        return 2
+        return _error("--dim must be at least 2 (orthogonality needs "
+                       "independent directions)")
     if args.samples < 2 or args.pairs < 2:
-        print("error: --samples and --pairs must be at least 2",
-              file=sys.stderr)
-        return 2
+        return _error("--samples and --pairs must be at least 2")
     if not (args.radius > 0 and args.tol > 0 and args.delta >= 0):
-        print("error: --radius and --tol must be positive, --delta "
-              "nonnegative", file=sys.stderr)
-        return 2
+        return _error("--radius and --tol must be positive, --delta "
+                       "nonnegative")
     if 0.1 * args.radius < math.sqrt(sys.float_info.min):
         # sampled points lie at least 0.1*radius from the origin, and
         # the closed-form relations divide by their squared norms
-        print(f"error: --radius {args.radius:g} is too small: squared "
-              "norms of sampled points underflow", file=sys.stderr)
-        return 2
+        return _error(f"--radius {args.radius:g} is too small: squared "
+                       "norms of sampled points underflow")
     if args.radius > math.sqrt(sys.float_info.max):
         # sampled points lie up to radius from the origin; past this
         # their squared norms overflow and numpy warns before any
         # measurement can reject the run
-        print(f"error: --radius {args.radius:g} is too large: squared "
-              "norms of sampled points overflow", file=sys.stderr)
-        return 2
+        return _error(f"--radius {args.radius:g} is too large: squared "
+                       "norms of sampled points overflow")
     if args.n_max < 0:
-        print("error: --n-max must be nonnegative", file=sys.stderr)
-        return 2
+        return _error("--n-max must be nonnegative")
     if args.json == "-" and args.csv == "-":
-        print("error: --json - and --csv - cannot both write to stdout",
-              file=sys.stderr)
-        return 2
-    for path in (args.json, args.csv):
+        return _error("--json - and --csv - cannot both write to stdout")
+    paths = [path for path in (args.json, args.csv) if path not in (None, "-")]
+    if len(paths) == 2 and len({os.path.realpath(p) for p in paths}) == 1:
+        # two spellings of one file: the CSV would overwrite the JSON
+        return _error(f"--json {args.json} and --csv {args.csv} name the "
+                       "same file")
+    for path in paths:
         # refused before the run; other write failures show when writing
-        if path not in (None, "-") and not os.path.exists(
-                os.path.dirname(path) or "."):
-            err = FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT),
-                                    path)
-            print(f"error: {err}", file=sys.stderr)
-            return 2
+        if not os.path.exists(os.path.dirname(path) or "."):
+            return _error(FileNotFoundError(
+                errno.ENOENT, os.strerror(errno.ENOENT), path))
     try:
         rel = _build_relation(args.relation)
         # the pipeline uses sampled pairs in both roles, which needs a
@@ -408,9 +414,7 @@ def execute(args: argparse.Namespace) -> int:
     except Exception as err:
         # exit 1 means a failed bound, so an unforeseen fault must not
         # end with the interpreter's traceback and its exit code 1
-        print(f"error: internal error: {type(err).__name__}: {err}",
-              file=sys.stderr)
-        return 2
+        return _error(f"internal error: {type(err).__name__}: {err}")
 
 
 def main(argv=None) -> int:

@@ -11,15 +11,17 @@ base points instead of ever composing callables n levels deep.
 
 ``iterate_lockstep`` advances several (operator, phi0) pairs level by
 level over one grid: every run still on the ladder is evaluated on the
-same point array 2^n * grid, inside one evaluation scope per level, so
-a leaf map that several phi0 share (both parities of one noise map,
-the quadratic part of f and of g) is evaluated once per level.  A run
-leaves the ladder when it stops or when evaluating its phi0 raises;
-the others go on.  ``iterate`` is its one-run case.  A limit handle
-reads phi at 2^n x through ``scaled_points``, so in an evaluation
-scope the measurements that read one limit on one grid share its leaf
-evaluations there.  ``apriori_bound`` reads d(phi, J phi) off a run's
-first gap, which the ladder has already measured.
+same point array 2^n * grid from ``scaled_points``, in the caller's
+evaluation scope, so a leaf map that several phi0 share (both parities
+of one noise map, the quadratic part of f and of g) is evaluated once
+per level.  The scope keeps the leaf values on the grid and the
+doubled grid, drops each higher level once climbed, and is handed each
+converged run's phi0 values on its stop level 2^n * grid and the level
+above, where its limit and the limit's doubling residual read them.  A
+run leaves the ladder when it stops or when evaluating its phi0
+raises; the others go on.  ``iterate`` is its one-run case.
+``apriori_bound`` reads d(phi, J phi) off a run's first gap, which the
+ladder has already measured.
 
 A run reports three verdicts.  "converged" means the gap between
 consecutive iterates fell below tolerance; "diverged" means the gap
@@ -42,8 +44,8 @@ import numpy as np
 
 # sup_distance stays imported: perfbench/tracing.py patches it here by name
 from .funcspace import (DEFAULT_CAP, INFINITE, EvaluationError, MapHandle,
-                        SampleGrid, evaluation_scope, scaled_points,
-                        sup_distance)
+                        SampleGrid, hand_over, release_scaled,
+                        scaled_points, sup_distance)
 from .orthogonality import row_sums
 
 __all__ = [
@@ -64,13 +66,6 @@ class ScalingOperator:
     def __post_init__(self):
         if not (0.0 < self.lam < 1.0):
             raise ValueError("lam must lie in (0, 1)")
-
-
-def _require_anchored(phi: MapHandle):
-    if phi.value_at_zero.any():
-        raise ValueError(
-            f"operator domain requires phi(0) = 0, got map {phi.label!r} "
-            "with a nonzero value at the origin")
 
 
 @dataclass
@@ -118,11 +113,11 @@ def iterate_lockstep(runs: Sequence[tuple[ScalingOperator, MapHandle]],
     Each run goes through exactly the steps ``iterate`` describes, with
     the same arithmetic, so its result does not depend on the other
     runs.  Level n evaluates every run still going on one shared array
-    2^n * grid inside one evaluation scope.  Returns, in the order of
-    ``runs``, each run's IterationResult or the exception that run
-    raised (an unanchored phi0, non-finite values), so that a caller
-    can report the failures in the order it would have met them one
-    run at a time.
+    2^n * grid, in the open evaluation scope if there is one.  Returns,
+    in the order of ``runs``, each run's IterationResult or the
+    exception that run raised (an unanchored phi0, non-finite values),
+    so that a caller can report the failures in the order it would have
+    met them one run at a time.
     """
     if not (tol > 0.0 and math.isfinite(tol)):
         raise ValueError("tol must be positive and finite")
@@ -138,42 +133,47 @@ def iterate_lockstep(runs: Sequence[tuple[ScalingOperator, MapHandle]],
     raw_c: list = [[] for _ in runs]
     lam_pow = [1.0] * count
     n_stop = [n_max] * count
+    above: list = [None] * count
     for i, (_, phi0) in enumerate(runs):
         try:
-            _require_anchored(phi0)
+            if phi0.value_at_zero.any():
+                raise ValueError(
+                    f"operator domain requires phi(0) = 0, got map "
+                    f"{phi0.label!r} with a nonzero value at the origin")
+            cur[i] = _finite(phi0(pts), "base grid")
         except Exception as err:
             outcome[i] = err
-    with evaluation_scope():
-        for i, (_, phi0) in enumerate(runs):
-            if outcome[i] is None:
-                try:
-                    cur[i] = _finite(phi0(pts), "base grid")
-                except Exception as err:
-                    outcome[i] = err
     for n in range(n_max + 1):
         going = [i for i in range(count) if outcome[i] is None]
         if not going:
             break
-        level = (2.0 ** (n + 1)) * pts
-        with evaluation_scope():
-            for i in going:
-                op, phi0 = runs[i]
-                try:
-                    nxt = _finite(phi0(level), f"level-{n + 1} grid")
-                except Exception as err:
-                    outcome[i] = err
-                    continue
-                diff = cur[i] - op.lam * nxt
-                c_n = float(np.max(np.sqrt(row_sums(diff * diff))))
-                raw_c[i].append(c_n)
-                gap = lam_pow[i] * c_n
-                if gap <= tol:
-                    outcome[i], n_stop[i] = "converged", n
-                elif gap > DEFAULT_CAP:
-                    outcome[i], n_stop[i] = "diverged", n
-                else:
-                    cur[i] = nxt
-                    lam_pow[i] = lam_pow[i] * op.lam
+        level = scaled_points(2.0 ** (n + 1), pts)
+        for i in going:
+            op, phi0 = runs[i]
+            try:
+                nxt = _finite(phi0(level), f"level-{n + 1} grid")
+            except Exception as err:
+                outcome[i] = err
+                continue
+            diff = cur[i] - op.lam * nxt
+            c_n = float(np.max(np.sqrt(row_sums(diff * diff))))
+            raw_c[i].append(c_n)
+            gap = lam_pow[i] * c_n
+            if gap <= tol:
+                outcome[i], n_stop[i], above[i] = "converged", n, nxt
+            elif gap > DEFAULT_CAP:
+                outcome[i], n_stop[i] = "diverged", n
+            else:
+                cur[i] = nxt
+                lam_pow[i] = lam_pow[i] * op.lam
+        if n > 0:
+            # past the doubled grid, only this step reads a level's leaves
+            release_scaled(2.0 ** (n + 1), pts)
+    for i, (_, phi0) in enumerate(runs):
+        if outcome[i] == "converged":
+            n = n_stop[i]
+            hand_over(phi0, scaled_points(2.0 ** n, pts), cur[i])
+            hand_over(phi0, scaled_points(2.0 ** (n + 1), pts), above[i])
     results = []
     for (op, phi0), out, c, stop in zip(runs, outcome, raw_c, n_stop):
         if out is None:

@@ -14,18 +14,15 @@ a quadratic map) is a *leaf*; the handles that scaling, parity
 projections and the fixed-point layer build around other handles are
 derived, and only combine their values.  Inside an
 ``evaluation_scope`` block each leaf is evaluated at most once per
-point array: a second call of the same handle on the same array object
-returns the stored value, read-only.  The handles that read a map at
-scaled points (the parity projections at -x, a Picard limit at 2^n x)
-take them from ``scaled_points``, which in a block computes c * x once
-per factor c and point array and keeps it, read-only, so the handles
-reading one scaled set share its leaf evaluations too: the even and
-the odd part of an untagged leaf, or a limit and a doubling residual.
-Multiplying by -1 or a power of two is exact, so the shared values are
-the very bits a fresh evaluation gives.  The stored arrays belong to
-the block and are dropped when it exits; point arrays must not change
-while it is open (a grid's are read-only).  Outside a block every call
-evaluates afresh.
+point array object, and its value is stored read-only.  Maps read at
+scaled points (a parity projection at -x, a Picard limit at 2^n x)
+take them from ``scaled_points``, which builds each scaled copy of an
+array once per total factor, so 2^n * (2x) is 2^(n+1) x and -(-x) is x,
+with the bits a fresh evaluation gives.  The Picard ladder drops the
+levels it climbs with ``release_scaled`` and stores the values it keeps
+with ``hand_over``.  Stored arrays are dropped when the block exits;
+point arrays must not change while it is open.  Outside a block every
+call evaluates afresh.
 
 The module also provides the sample grids that stand in for the domain
 and the capped sup distance that stands in for the uniform norm.  A
@@ -53,6 +50,8 @@ __all__ = [
     "MapHandle",
     "evaluation_scope",
     "scaled_points",
+    "release_scaled",
+    "hand_over",
     "zero_map",
     "map_sum",
     "map_scale",
@@ -70,26 +69,26 @@ DEFAULT_CAP = 1e12
 
 _PARITIES = (None, "even", "odd")
 
-# the open evaluation scope, None outside one.  It maps
-# (leaf handle, id(points)) -> (points, value) and (c, id(points)) ->
-# (points, c * points); holding the points keeps their id from being
-# reused while the entry lives, and the key holds the handle itself
+# the open evaluation scope, None outside one.  It maps (handle,
+# id(points)) -> (points, value), (c, id(base)) -> (base, c * base) and
+# id(c * base) -> (c, base) for an unscaled base; holding the arrays
+# keeps their ids from being reused while the entry lives, and the key
+# holds the handle itself
 _SCOPE: ContextVar[dict | None] = ContextVar("orthostab_evaluation_scope",
                                              default=None)
 
 
 @contextmanager
-def evaluation_scope():
+def evaluation_scope(store: bool = True):
     """Evaluate each leaf map at most once per point array in the block.
 
-    Values are stored for the same handle object and the same point
-    array object, and handed out read-only; so are the scaled point
-    arrays of ``scaled_points``.  Each block starts empty,
-    a nested block included, and everything it stored is dropped when
-    it exits, so a scope should span the calls that share one point
-    set and no more.
+    Values are stored per handle and point array object, and handed out
+    read-only, as are the arrays of ``scaled_points``.  Each block, a
+    nested one too, starts empty (with ``store=False`` it stores
+    nothing, for the one-shot point sets of a longer block) and drops
+    what it stored when it exits.
     """
-    token = _SCOPE.set({})
+    token = _SCOPE.set({} if store else None)
     try:
         yield
     finally:
@@ -104,20 +103,41 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
 
 
 def scaled_points(c: float, pts: np.ndarray) -> np.ndarray:
-    """c * pts, computed once per factor and point array in a scope.
+    """c * pts, computed once per total factor and base array in a scope.
 
-    Inside an evaluation scope the same factor and the same array
-    object give the same read-only array, so leaf maps read at it are
-    evaluated once; outside one this is plain ``c * pts``.
+    For an exact c = +-2^k, k >= 0, c * (c0 * base) is (c * c0) * base
+    bit for bit, and a scope keys it so: one read-only array per key,
+    base itself for a total factor of 1.  Otherwise this is ``c * pts``.
     """
     scope = _SCOPE.get()
-    if scope is None:
+    if scope is None or not (abs(c) >= 1.0 and abs(math.frexp(c)[0]) == 0.5):
         return c * pts
-    key = (c, id(pts))
-    hit = scope.get(key)
+    c0, base = scope.get(id(pts), (1.0, pts))
+    if c0 * c == 1.0:
+        return base
+    hit = scope.get((c0 * c, id(base)))
     if hit is None:
-        hit = scope[key] = (pts, _readonly(c * pts))
+        hit = scope[c0 * c, id(base)] = (base, _readonly(c * pts))
+        scope[id(hit[1])] = (c0 * c, base)
     return hit[1]
+
+
+def release_scaled(c: float, pts: np.ndarray) -> None:
+    """Drop c * pts and -c * pts from the open scope, with their values."""
+    scope = _SCOPE.get() or {}
+    for key in ((c, id(pts)), (-c, id(pts))):
+        gone = scope.pop(key, (None, None))[1]
+        if gone is not None:
+            scope.pop(id(gone))
+            for k in [k for k, v in scope.items() if v[0] is gone]:
+                del scope[k]
+
+
+def hand_over(m: "MapHandle", pts: np.ndarray, value: np.ndarray) -> None:
+    """Store value, which m gave at pts, as m's value there in the scope."""
+    scope = _SCOPE.get()
+    if scope is not None:
+        scope[(m, id(pts))] = (pts, _readonly(value))
 
 
 class EvaluationError(RuntimeError):
@@ -135,7 +155,8 @@ class MapHandle:
     them makes new handles.  ``_derived`` marks a handle whose ``fn``
     only combines the values of other handles (a scaled map, a parity
     projection, a rescaled iterate); every other handle with ``fn`` is
-    a leaf, whose values an evaluation scope stores.
+    a leaf, whose values an evaluation scope stores; a scope returns a
+    value handed over for any handle.
     """
 
     fn: Callable[[np.ndarray], np.ndarray] | None
@@ -164,19 +185,19 @@ class MapHandle:
                 f"{self.source_dim}, got shape {arr.shape}")
         if self._is_zero:
             return np.zeros(arr.shape[:-1] + (self.target_dim,))
+        scope = _SCOPE.get()
+        key = (self, id(arr))
+        if scope is not None and key in scope:
+            return scope[key][1]
         if self.terms is not None:
             out = self.terms[0](arr)
             for t in self.terms[1:]:
                 out = out + t(arr)
             return out
-        scope = None if self._derived else _SCOPE.get()
-        if scope is None:
+        if scope is None or self._derived:
             return self._evaluate(arr)
-        key = (self, id(arr))
-        hit = scope.get(key)
-        if hit is None:
-            hit = scope[key] = (arr, _readonly(self._evaluate(arr)))
-        return hit[1]
+        scope[key] = (arr, _readonly(self._evaluate(arr)))
+        return scope[key][1]
 
     def _evaluate(self, arr: np.ndarray) -> np.ndarray:
         out = np.asarray(self.fn(arr), dtype=float)

@@ -54,7 +54,6 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import asdict, dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -281,11 +280,8 @@ def doubling_defect(f: MapHandle, grid: SampleGrid) -> float:
 def mixed_parity_defect(f: MapHandle, grid: SampleGrid) -> float:
     """sup of ||f(2x) - f(-2x) - 4f(x) - 4f(-x)||, no parity projection."""
     pts = grid.points
-    # -2x as -(2x): the same bits, and in a scope the same array as the
-    # even part of f reads at 2x
-    two = scaled_points(2.0, pts)
-    vals = (f(two) - f(scaled_points(-1.0, two)) - 4.0 * f(pts)
-            - 4.0 * f(scaled_points(-1.0, pts)))
+    vals = (f(scaled_points(2.0, pts)) - f(scaled_points(-2.0, pts))
+            - 4.0 * f(pts) - 4.0 * f(scaled_points(-1.0, pts)))
     return _max_row_norm(vals, "the mixed-parity defect")
 
 
@@ -412,8 +408,10 @@ def necessity_check(f: MapHandle, t: MapHandle, grid: SampleGrid,
             f"corrector violates the doubling identity: residual "
             f"{t_residual:.3e} > {doubling_tol:.1e}")
     measured = 2.0 * _doubling_residual(fe, pts, 4.0)
-    both = np.vstack([pts, 2.0 * pts])
-    gap = sup_distance(fe, te, both)
+    # one batch: a matmul's bits depend on it, so the stack's values are
+    # not the grid halves'; read once, it is not stored
+    with evaluation_scope(store=False):
+        gap = sup_distance(fe, te, np.vstack([pts, 2.0 * pts]))
     bound = 10.0 * gap
     slack = 1e-9
     return {
@@ -507,19 +505,6 @@ def closure_pairs(pairs: np.ndarray, grid: SampleGrid) -> np.ndarray:
     return np.concatenate([pairs, -pairs, zero_pair, one_sided], axis=0)
 
 
-def _require_compatible(rel: OrthoRelation):
-    if not rel.is_symmetric:
-        raise ValueError(
-            "the pipeline needs a symmetric relation (pairs are used in "
-            "both roles); wrap the relation with symmetrize_relation first")
-
-
-def _require_same_space(maps: Sequence[MapHandle]):
-    s = {(m.source_dim, m.target_dim) for m in maps}
-    if len(s) != 1:
-        raise ValueError("all four maps must share source and target dims")
-
-
 def _split_witness_points(rel: OrthoRelation, grid: SampleGrid) -> np.ndarray:
     pts = grid.points[1:]
     if rel.polyhedral:
@@ -547,28 +532,23 @@ def _run_pipeline(rel: OrthoRelation, f: MapHandle, g: MapHandle,
                   coeffs: dict, corollary: str) -> StabilityReport:
     """One pipeline run; the main theorem and its corollaries share it.
 
-    Where several measurements read the same leaf maps on one point
-    set, they run inside one evaluation scope, so each leaf is
-    evaluated once on it: eps and the odd, the even and (when the
-    shift moved a map) the shifted residual take the closure pairs'
-    slots x+y, x-y, x and y in one pass, one scope per slot, and the
-    four extractions climb the dyadic ladder 2^n * grid in lockstep,
-    one scope per level.  A failed extraction is raised for the first
-    of R, R', S, S' that fails, with the error one run after another
-    would give.  Once all four have converged, the measurements on the
-    grid and its scaled copies (the gaps, the doubling and parity
-    diagnostics and the fingerprints) share one scope, so each limit
-    reads phi0 on 2^n * grid once for all of them; the a-priori bounds
-    come from the ladder's first gaps.  The defect diagnostics share a
-    scope of their own; a failure of theirs is reported after one of
-    eps, before the residuals'.  The split-witness and fresh-pair
-    diagnostics, the corrector scaling residuals and the necessity
-    check run outside any scope: most of what they read (the
-    witnesses, the fresh pairs, each limit on the doubled grid) no
-    other measurement reads, so storing it would only cost memory.
+    eps and the odd, the even and (when the shift moved a map) the
+    shifted residual take the closure pairs' slots x+y, x-y, x and y in
+    one pass, a scope per slot.  All later measurements share one grid
+    scope, from the defect diagnostics (a failure of theirs is reported
+    after one of eps, before the residuals') through the necessity
+    check; the extractions' ladder hands it their values, so each leaf
+    map is read once per grid point set.  A failed extraction is raised
+    for the first of R, R', S, S' that fails, with the error one run
+    after another would give.  One-shot point sets (the split witnesses,
+    the fresh pairs) are read in blocks that store nothing.
     """
-    _require_compatible(rel)
-    _require_same_space([f, g, h, k])
+    if not rel.is_symmetric:
+        raise ValueError(
+            "the pipeline needs a symmetric relation (pairs are used in "
+            "both roles); wrap the relation with symmetrize_relation first")
+    if len({(m.source_dim, m.target_dim) for m in (f, g, h, k)}) != 1:
+        raise ValueError("all four maps must share source and target dims")
     dim = f.source_dim
 
     pairs = sample_orthogonal_pairs(rel, dim, cfg.pair_count,
@@ -587,50 +567,46 @@ def _run_pipeline(rel: OrthoRelation, f: MapHandle, g: MapHandle,
     rows = _slot_residuals(quads[:3] if unshifted else quads, closed)
     what = "the equation residual"
     eps = _max_row_norm(rows[2], what)
-    # measured ahead of the other residuals and the extractions, so
-    # that one of these diagnostics failing is the error reported next
     with evaluation_scope():
         defects = DefectReport(
             pexider=eps,
             even_doubling=doubling_defect(f, grid),
             literal_mixed_parity=mixed_parity_defect(f, grid),
         )
-    # distance name -> measured value, in the order of MAIN_BOUND_COEFFS
-    measured: dict[str, float | None] = {
-        "shifted_residual": eps if unshifted else _max_row_norm(rows[3], what),
-        "odd_part_residual": _max_row_norm(rows[0], what),
-        "even_part_residual": _max_row_norm(rows[1], what),
-    }
-    del rows
+        # distance name -> measured value, in the order of the bounds
+        measured: dict[str, float | None] = {
+            "shifted_residual": (eps if unshifted else
+                                 _max_row_norm(rows[3], what)),
+            "odd_part_residual": _max_row_norm(rows[0], what),
+            "even_part_residual": _max_row_norm(rows[1], what),
+        }
+        del rows
 
-    def gap(a: MapHandle, b: MapHandle) -> float:
-        return sup_distance(a, b, grid)
+        def gap(a: MapHandle, b: MapHandle) -> float:
+            return sup_distance(a, b, grid)
 
-    # the four extractions climb the dyadic ladder in lockstep; failures
-    # are raised in the order R, R', S, S', as one run after another
-    # would have met them
-    extractions = (("R", parts.Fo, 0.5), ("R_prime", parts.Go, 0.5),
-                   ("S", parts.Fe, 0.25), ("S_prime", parts.Ge, 0.25))
-    outcomes = iterate_lockstep(
-        [(ScalingOperator(lam), phi) for _, phi, lam in extractions], grid,
-        tol=cfg.tol, n_max=cfg.n_max)
-    for (name, _, _), res in zip(extractions, outcomes):
-        if isinstance(res, Exception):
-            raise res
-        if res.verdict != "converged":
-            raise DivergenceError(name, res)
-    r, r2, s, s2 = (res.limit for res in outcomes)
-    t = map_sum(r, s, label="T")
-    t2 = map_sum(r2, s2, label="T_prime")
-    # even summands first: mirrors the evaluation order of h + k
-    t3 = map_sum(map_scale(2.0, s), map_scale(2.0, s2), map_scale(2.0, r),
-                 label="T_second")
+        extractions = (("R", parts.Fo, 0.5), ("R_prime", parts.Go, 0.5),
+                       ("S", parts.Fe, 0.25), ("S_prime", parts.Ge, 0.25))
+        outcomes = iterate_lockstep(
+            [(ScalingOperator(lam), phi) for _, phi, lam in extractions],
+            grid, tol=cfg.tol, n_max=cfg.n_max)
+        for (name, _, _), res in zip(extractions, outcomes):
+            if isinstance(res, Exception):
+                raise res
+            if res.verdict != "converged":
+                raise DivergenceError(name, res)
+        r, r2, s, s2 = (res.limit for res in outcomes)
+        t = map_sum(r, s, label="T")
+        t2 = map_sum(r2, s2, label="T_prime")
+        # even summands first: mirrors the evaluation order of h + k
+        t3 = map_sum(map_scale(2.0, s), map_scale(2.0, s2),
+                     map_scale(2.0, r), label="T_second")
 
-    witnesses = _split_witness_points(rel, grid)
-    joint = _joint_even_doubling(rel, parts.Fe, parts.Ge, witnesses)
+        witnesses = _split_witness_points(rel, grid)
+        with evaluation_scope(store=False):
+            joint = _joint_even_doubling(rel, parts.Fe, parts.Ge, witnesses)
 
-    pts = grid.points
-    with evaluation_scope():
+        pts = grid.points
         iterations = {
             name: {
                 "verdict": res.verdict,
@@ -660,6 +636,8 @@ def _run_pipeline(rel: OrthoRelation, f: MapHandle, g: MapHandle,
             "f_total_gap": gap(parts.F, t),
             "g_total_gap": gap(parts.G, t2),
             "hk_total_gap": gap(map_sum(parts.H, parts.K), t3),
+            # checked by the quadratic corollary only
+            "additive_component_size": sup_norm(r, grid),
         })
         parity_residuals = {
             "F_odd": _max_row_norm(
@@ -675,48 +653,43 @@ def _run_pipeline(rel: OrthoRelation, f: MapHandle, g: MapHandle,
             "T_prime": _fingerprint(t2(pts)),
             "T_second": _fingerprint(t3(pts)),
         }
-    bounds = [_check(name, coeff, measured[name], eps)
-              for name, coeff in coeffs.items()
-              if measured[name] is not None]
+        bounds = [_check(name, coeff, measured[name], eps)
+                  for name, coeff in coeffs.items()
+                  if measured[name] is not None]
 
-    components = {
-        "R": r, "R_prime": r2, "S": s, "S_prime": s2,
-        "T": t, "T_prime": t2, "T_second": t3,
-        "F": parts.F, "G": parts.G, "H": parts.H, "K": parts.K,
-        "L": parts.L,
-    }
+        # diagnostics: never gated, reported for inspection
+        fresh = sample_orthogonal_pairs(rel, dim, cfg.pair_count,
+                                        radius=cfg.radius,
+                                        seed=cfg.seed + FRESH_PAIR_OFFSET)
+        fx, fy = fresh[:, 0, :], fresh[:, 1, :]
+        with evaluation_scope(store=False):
+            odd_add = _max_row_norm(r(fx + fy) - r(fx) - r(fy),
+                                    "orthogonal additivity of R")
+            even_quad = _max_row_norm(
+                s(fx + fy) + s(fx - fy) - 2.0 * s(fx) - 2.0 * s(fy),
+                "the orthogonal quadratic identity of S")
+        diagnostics = {
+            "orthogonal_additivity_of_R": odd_add,
+            "orthogonal_quadratic_identity_of_S": even_quad,
+            "scaling_residuals": {
+                "R": _doubling_residual(r, pts, 2.0),
+                "R_prime": _doubling_residual(r2, pts, 2.0),
+                "S": _doubling_residual(s, pts, 4.0),
+                "S_prime": _doubling_residual(s2, pts, 4.0),
+            },
+            "parity_residuals": parity_residuals,
+            "split_witness_attempts": len(witnesses),
+            "split_witness_failures": len(witnesses) - len(joint),
+            "closure_pair_count": int(closed.shape[0]),
+        }
 
-    # diagnostics: never gated, reported for inspection
-    fresh = sample_orthogonal_pairs(rel, dim, cfg.pair_count,
-                                    radius=cfg.radius,
-                                    seed=cfg.seed + FRESH_PAIR_OFFSET)
-    fx, fy = fresh[:, 0, :], fresh[:, 1, :]
-    odd_add = _max_row_norm(r(fx + fy) - r(fx) - r(fy),
-                            "orthogonal additivity of R")
-    even_quad = _max_row_norm(
-        s(fx + fy) + s(fx - fy) - 2.0 * s(fx) - 2.0 * s(fy),
-        "the orthogonal quadratic identity of S")
-    diagnostics = {
-        "orthogonal_additivity_of_R": odd_add,
-        "orthogonal_quadratic_identity_of_S": even_quad,
-        "scaling_residuals": {
-            "R": _doubling_residual(r, pts, 2.0),
-            "R_prime": _doubling_residual(r2, pts, 2.0),
-            "S": _doubling_residual(s, pts, 4.0),
-            "S_prime": _doubling_residual(s2, pts, 4.0),
-        },
-        "parity_residuals": parity_residuals,
-        "split_witness_attempts": len(witnesses),
-        "split_witness_failures": len(witnesses) - len(joint),
-        "closure_pair_count": int(closed.shape[0]),
-    }
-
-    # T's even part is S's limit lam^n*phi0(2^n x) with lam = 1/4, so its
-    # doubling residual is exactly 4 times S's last raw gap (powers of
-    # two scale without rounding), and S stopped at a gap of at most
-    # cfg.tol; VERDICT_RTOL is the rounding slack the bounds get too
-    necessity = necessity_check(
-        parts.F, t, grid, doubling_tol=4.0 * cfg.tol * (1.0 + VERDICT_RTOL))
+        # T's even part is S's limit lam^n*phi0(2^n x) with lam = 1/4, so
+        # its doubling residual is exactly 4 times S's last raw gap
+        # (powers of two scale without rounding), and S stopped at a gap
+        # of at most cfg.tol; VERDICT_RTOL is the slack the bounds get
+        necessity = necessity_check(
+            parts.F, t, grid,
+            doubling_tol=4.0 * cfg.tol * (1.0 + VERDICT_RTOL))
 
     return StabilityReport(
         corollary=corollary,
@@ -733,7 +706,12 @@ def _run_pipeline(rel: OrthoRelation, f: MapHandle, g: MapHandle,
         necessity=necessity,
         diagnostics=diagnostics,
         fingerprints=fingerprints,
-        components=components,
+        components={
+            "R": r, "R_prime": r2, "S": s, "S_prime": s2,
+            "T": t, "T_prime": t2, "T_second": t3,
+            "F": parts.F, "G": parts.G, "H": parts.H, "K": parts.K,
+            "L": parts.L,
+        },
         grid=grid,
     )
 
@@ -781,12 +759,8 @@ def run_quadratic_corollary(rel: OrthoRelation, q: MapHandle,
     if contaminant is not None:
         q = map_sum(q, contaminant, label="Q+contaminant")
     h = map_scale(2.0, q, label="2Q")
-    report = _run_pipeline(rel, q, q, h, h, config, MAIN_BOUND_COEFFS,
-                           "quadratic")
-    report.bounds.append(_check(
-        "additive_component_size", 18.0,
-        sup_norm(report.components["R"], report.grid), report.eps_hat))
-    return report
+    coeffs = {**MAIN_BOUND_COEFFS, "additive_component_size": 18.0}
+    return _run_pipeline(rel, q, q, h, h, config, coeffs, "quadratic")
 
 
 def run_inner_product_corollary(f: MapHandle, g: MapHandle, h: MapHandle,

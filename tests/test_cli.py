@@ -57,6 +57,20 @@ class TestParsing:
         assert args.delta == 0.0
         assert args.seed == 42
 
+    def test_parser_is_built_once(self, monkeypatch):
+        cli._parser()
+
+        def no_build(*args, **kwargs):
+            raise AssertionError("the parser was built again")
+
+        monkeypatch.setattr(cli.argparse, "ArgumentParser", no_build)
+        assert parse_args(["report", "--seed", "5"]).seed == 5
+        # each call gets a namespace of its own, with fresh defaults
+        args = parse_args(["defect"])
+        assert (args.command, args.seed, args.json) == ("defect", 42, None)
+        with pytest.raises(SystemExit):
+            parse_args(["report", "--dim", "three"])
+
     def test_cubic_only_where_meaningful(self):
         parse_args(["extract", "--cubic", "1.0"])
         parse_args(["quadratic", "--cubic", "1.0"])
@@ -357,6 +371,40 @@ class TestSerialization:
         assert err == ("error: [Errno 2] No such file or directory: "
                        f"'{path}'\n")
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("json_path, csv_path", [
+        ("same.out", "same.out"),
+        ("x.out", "./x.out"),
+        ("sub/../x.out", "x.out"),
+        ("{tmp}/x.out", "x.out"),
+        ("link.out", "x.out"),
+    ], ids=["equal", "dot-slash", "dot-dot", "absolute", "symlink"])
+    def test_json_and_csv_on_one_file_is_usage_error(
+            self, json_path, csv_path, tmp_path, capsys, monkeypatch):
+        def not_run(args, rel):
+            raise AssertionError("the command ran")
+
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "sub").mkdir()
+        (tmp_path / "link.out").symlink_to(tmp_path / "x.out")
+        before = sorted(tmp_path.iterdir())
+        monkeypatch.setitem(cli._COMMANDS, "defect", not_run)
+        json_path = json_path.format(tmp=tmp_path)
+        assert main(["defect", *FAST, "--json", json_path,
+                     "--csv", csv_path]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (f"error: --json {json_path} and --csv {csv_path} "
+                       "name the same file\n")
+        assert sorted(tmp_path.iterdir()) == before
+
+    def test_json_and_csv_on_two_files_write_both(self, tmp_path,
+                                                  monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(["defect", *FAST, "--json", "a.out",
+                     "--csv", "./b.out"]) == 0
+        assert json.loads((tmp_path / "a.out").read_text())["defects"]
+        assert (tmp_path / "b.out").read_text().startswith("name,value")
 
     @pytest.mark.parametrize("argv, code", [
         (["quadratic", "--cubic", "1.0"], 3),

@@ -7,9 +7,11 @@ import pytest
 
 from orthostab.fixedpoint import (IterationResult, ScalingOperator,
                                   apriori_bound, iterate, iterate_lockstep)
+from orthostab import funcspace
 from orthostab.funcspace import (INFINITE, EvaluationError, MapHandle,
-                                 make_grid, map_scale, map_sum, scaled_points,
-                                 sup_distance, zero_map)
+                                 evaluation_scope, make_grid, map_scale,
+                                 map_sum, scaled_points, sup_distance,
+                                 zero_map)
 from orthostab.perturb import (compose_cauchy_instance,
                                compose_pexider_instance,
                                compose_quadratic_instance, make_additive,
@@ -327,3 +329,49 @@ class TestLockstep:
             with pytest.raises(type(res)) as single:
                 iterate(*run, grid)
             assert str(single.value) == str(res)
+
+
+class TestLadderInAScope:
+    """Run in a caller's evaluation scope, the ladder keeps the grid and
+    the doubled grid, drops every level it climbed past and hands over
+    each converged run's values on its stop level and the one above."""
+
+    def test_limits_read_no_leaf_after_the_ladder(self, grid, monkeypatch):
+        runs = pexider_runs()
+        pts = grid.points
+        want = [iterate(op, phi0, grid) for op, phi0 in runs]
+        want_vals = [(res.limit(pts).tobytes(),
+                      res.limit(2.0 * pts).tobytes()) for res in want]
+        calls = []
+        evaluate = MapHandle._evaluate
+
+        def recording(self, arr):
+            if not self._derived:
+                calls.append(arr.shape)
+            return evaluate(self, arr)
+
+        monkeypatch.setattr(MapHandle, "_evaluate", recording)
+        with evaluation_scope():
+            got = iterate_lockstep(runs, grid)
+            scope = funcspace._SCOPE.get()
+            factors = {v[0] for key, v in scope.items()
+                       if isinstance(key, int)}
+            climbed = len(calls)
+            two = scaled_points(2.0, pts)
+            vals = [(res.limit(pts).tobytes(), res.limit(two).tobytes())
+                    for res in got]
+            assert len(calls) == climbed
+        assert vals == want_vals
+        stops = {res.n_steps for res in got}
+        assert [res.verdict for res in got] == ["converged"] * 4
+        assert max(stops) >= 3
+        assert factors == ({-1.0, 2.0, -2.0}
+                           | {2.0 ** n for n in stops if n > 0}
+                           | {2.0 ** (n + 1) for n in stops})
+
+    def test_outside_a_scope_nothing_is_kept(self, grid):
+        runs = pexider_runs()
+        got = iterate_lockstep(runs, grid)
+        assert funcspace._SCOPE.get() is None
+        for (op, phi0), res in zip(runs, got):
+            assert_same_result(res, ref_iterate(op, phi0, grid), grid)

@@ -13,9 +13,10 @@ from orthostab import funcspace
 from orthostab.fixedpoint import ScalingOperator, iterate
 from orthostab.funcspace import (DEFAULT_CAP, INFINITE, EvaluationError,
                                  MapHandle, SampleGrid, evaluation_scope,
-                                 even_part, make_grid, map_scale, map_sum,
-                                 odd_part, scaled_points, shift_to_zero,
-                                 sup_distance, sup_norm, zero_map)
+                                 even_part, hand_over, make_grid, map_scale,
+                                 map_sum, odd_part, release_scaled,
+                                 scaled_points, shift_to_zero, sup_distance,
+                                 sup_norm, zero_map)
 from orthostab.orthogonality import DimensionMismatchError
 from test_fixedpoint import reference_apply
 
@@ -151,6 +152,20 @@ class TestEvaluationScope:
             f(pts)
         assert len(log) == 2
 
+    def test_block_that_stores_nothing(self):
+        log = []
+        f = MapHandle(counted(lambda p: 2.0 * p, log), 2, 2)
+        pts = np.ones((2, 2))
+        with evaluation_scope():
+            f(pts)
+            with evaluation_scope(store=False):
+                assert funcspace._SCOPE.get() is None
+                f(pts)
+                f(scaled_points(2.0, pts))
+            assert funcspace._SCOPE.get() is not None
+            f(pts)
+        assert len(log) == 3
+
     def test_block_exits_on_error(self):
         with pytest.raises(ZeroDivisionError):
             with evaluation_scope():
@@ -196,6 +211,72 @@ class TestScaledPoints:
         assert scaled_points(-1.0, pts).tobytes() == (-pts).tobytes()
         assert scaled_points(2.0, pts) is not scaled_points(2.0, pts)
         assert pts.flags.writeable
+
+    def test_copies_are_keyed_by_their_total_factor(self):
+        pts = np.random.default_rng(4).normal(size=(5, 3))
+        with evaluation_scope():
+            two = scaled_points(2.0, pts)
+            assert scaled_points(2.0, two) is scaled_points(4.0, pts)
+            assert scaled_points(-1.0, two) is scaled_points(-2.0, pts)
+            assert scaled_points(2.0 ** 5, scaled_points(-2.0, pts)) is (
+                scaled_points(-(2.0 ** 6), pts))
+            # -(-x) is x itself, and a factor of 1 is no copy
+            assert scaled_points(-1.0, scaled_points(-1.0, pts)) is pts
+            assert scaled_points(1.0, pts) is pts
+            for c in (4.0, -2.0, -(2.0 ** 6)):
+                assert scaled_points(c, pts).tobytes() == (c * pts).tobytes()
+            # a factor that can round is not keyed: a fresh product
+            half = scaled_points(0.5, two)
+            assert half is not scaled_points(0.5, two)
+            assert half.tobytes() == (0.5 * two).tobytes()
+
+    def test_composed_copies_keep_overflow_and_signed_zeros(self):
+        pts = np.array([[0.0, -0.0, 1e308], [-1e308, 5e-324, -5e-324]])
+        with np.errstate(over="ignore"):
+            want = {c: (c * pts).tobytes() for c in (-2.0, 4.0, -8.0)}
+            with evaluation_scope():
+                neg = scaled_points(-1.0, pts)
+                got = {-2.0: scaled_points(2.0, neg),
+                       4.0: scaled_points(2.0, scaled_points(2.0, pts)),
+                       -8.0: scaled_points(4.0, scaled_points(-2.0, pts))}
+                got = {c: arr.tobytes() for c, arr in got.items()}
+        assert got == want
+
+    def test_release_drops_both_signs_and_their_values(self):
+        log = []
+        f = MapHandle(counted(np.sin, log), 2, 2)
+        pts = np.random.default_rng(5).normal(size=(4, 2))
+        with evaluation_scope():
+            four, minus = scaled_points(4.0, pts), scaled_points(-4.0, pts)
+            f(pts), f(four), f(minus)
+            release_scaled(4.0, pts)
+            held = [x for v in funcspace._SCOPE.get().values() for x in v]
+            assert not any(x is four or x is minus for x in held)
+            again = scaled_points(4.0, pts)
+            assert again is not four
+            f(again), f(pts)
+            release_scaled(8.0, pts)  # nothing stored: a no-op
+        assert len(log) == 4
+        release_scaled(4.0, pts)  # outside a scope: a no-op
+
+    def test_hand_over_serves_a_derived_map(self):
+        log = []
+        leaf = MapHandle(counted(np.cos, log), 2, 2)
+        odd = odd_part(leaf)
+        pts = np.random.default_rng(6).normal(size=(4, 2))
+        want = odd(pts)
+        log.clear()
+        with evaluation_scope():
+            hand_over(odd, pts, want)
+            got = odd(pts)
+            assert got.tobytes() == want.tobytes()
+            assert not got.flags.writeable and want.flags.writeable
+            # the leaf itself was not handed a value
+            leaf(pts)
+        assert len(log) == 1
+        hand_over(odd, pts, want)  # outside a scope: a no-op
+        odd(pts)
+        assert len(log) == 3
 
     def test_parts_apply_and_limit_read_each_leaf_once(self):
         log = []
