@@ -46,7 +46,7 @@ import numpy as np
 from .funcspace import (DEFAULT_CAP, INFINITE, EvaluationError, MapHandle,
                         SampleGrid, hand_over, release_scaled,
                         scaled_points, sup_distance)
-from .orthogonality import row_sums
+from .orthogonality import max_row_norm
 
 __all__ = [
     "ScalingOperator",
@@ -156,7 +156,7 @@ def iterate_lockstep(runs: Sequence[tuple[ScalingOperator, MapHandle]],
                 outcome[i] = err
                 continue
             diff = cur[i] - op.lam * nxt
-            c_n = float(np.max(np.sqrt(row_sums(diff * diff))))
+            c_n = max_row_norm(diff)
             raw_c[i].append(c_n)
             gap = lam_pow[i] * c_n
             if gap <= tol:
@@ -184,7 +184,7 @@ def iterate_lockstep(runs: Sequence[tuple[ScalingOperator, MapHandle]],
 
 
 def _finite(vals: np.ndarray, where: str) -> np.ndarray:
-    if not np.all(np.isfinite(vals)):
+    if not np.isfinite(vals).all():
         raise EvaluationError(f"phi0 is non-finite on the {where}")
     return vals
 

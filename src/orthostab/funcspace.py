@@ -18,11 +18,13 @@ point array object, and its value is stored read-only.  Maps read at
 scaled points (a parity projection at -x, a Picard limit at 2^n x)
 take them from ``scaled_points``, which builds each scaled copy of an
 array once per total factor, so 2^n * (2x) is 2^(n+1) x and -(-x) is x,
-with the bits a fresh evaluation gives.  The Picard ladder drops the
-levels it climbs with ``release_scaled`` and stores the values it keeps
-with ``hand_over``.  Stored arrays are dropped when the block exits;
-point arrays must not change while it is open.  Outside a block every
-call evaluates afresh.
+with the bits a fresh evaluation gives.  A leaf's value on a row may
+depend on the batch it comes in, as a matmul's does, but not on whether
+its elementwise work runs by rows or by columns.  The Picard ladder
+drops the levels it climbs with ``release_scaled`` and stores the
+values it keeps with ``hand_over``.  Stored arrays are dropped when the
+block exits; point arrays must not change while it is open.  Outside a
+block every call evaluates afresh.
 
 The module also provides the sample grids that stand in for the domain
 and the capped sup distance that stands in for the uniform norm.  A
@@ -41,7 +43,7 @@ from typing import Callable
 
 import numpy as np
 
-from .orthogonality import DimensionMismatchError, row_sums
+from .orthogonality import DimensionMismatchError, max_row_norm
 
 __all__ = [
     "INFINITE",
@@ -389,9 +391,9 @@ def _resolve_points(grid) -> np.ndarray:
 
 def _capped_sup(vals: np.ndarray, what: str) -> float:
     # the largest row length, or INFINITE past DEFAULT_CAP
-    if not np.all(np.isfinite(vals)):
+    if not np.isfinite(vals).all():
         raise EvaluationError(f"non-finite values {what}")
-    sup = float(np.max(np.sqrt(row_sums(vals * vals))))
+    sup = max_row_norm(vals)
     return INFINITE if sup > DEFAULT_CAP else sup
 
 

@@ -310,16 +310,30 @@ def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
 
+def narrow(shape: tuple, rows: int = 0) -> bool:
+    """Whether elementwise work on an array of this shape runs faster one
+    column at a time: NumPy runs each row of fewer than 8 columns as a
+    short inner loop of its own, and from ``rows`` rows on a few long
+    column loops repay their Python calls.  Same operations, same bits."""
+    return 0 < shape[-1] < 8 and math.prod(shape[:-1]) >= rows
+
+
 def row_sums(a: np.ndarray) -> np.ndarray:
-    """np.sum(a, axis=-1) bit for bit, without one NumPy call per row."""
+    """np.sum(a, axis=-1) bit for bit, by columns where ``narrow``."""
     # below 8 columns NumPy adds each row left to right from 0.0, as
     # adding whole columns in turn does; from 8 on it sums pairwise
-    if not 0 < a.shape[-1] < 8:
+    if not narrow(a.shape):
         return np.sum(a, axis=-1)
     out = 0.0 + a[..., 0]
     for j in range(1, a.shape[-1]):
         out += a[..., j]
     return out
+
+
+def max_row_norm(v: np.ndarray) -> float:
+    """float(np.max(np.sqrt(row_sums(v * v)))) bit for bit: a correctly
+    rounded square root is monotone, so the largest sum's root will do."""
+    return math.sqrt(row_sums(v * v).max())
 
 
 def _max_minors(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:

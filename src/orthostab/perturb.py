@@ -28,7 +28,7 @@ import numpy as np
 
 from .funcspace import (MapHandle, even_part, map_scale, map_sum, odd_part,
                         zero_map)
-from .orthogonality import row_sums
+from .orthogonality import narrow, row_sums
 
 __all__ = [
     "GroundTruth",
@@ -59,8 +59,11 @@ def make_additive(matrix) -> MapHandle:
 def make_quadratic(forms) -> MapHandle:
     """The quadratic (even) map x -> (x^T B_k x)_k for symmetric B_k.
 
-    Diagonal forms add (x_i B_kii) x_i in i order: the einsum other forms
-    take, less its +-0 terms, with the same bits at finite points.
+    Diagonal forms add 0.0 + sum_i (x_i B_kii) x_i in i order: the einsum
+    other forms take, less its +-0 terms, with the same bits at finite
+    points.  Where ``narrow`` (under 8 output columns, from 64 rows) a
+    loop over i does it on (k, rows) arrays, leading axes flattened;
+    elsewhere the two-index einsum, which adds in the same order.
     """
     b = np.array(forms, dtype=float)
     if b.ndim != 3 or b.shape[1] != b.shape[2]:
@@ -71,17 +74,23 @@ def make_quadratic(forms) -> MapHandle:
     if skew > _FORM_SYMMETRY_TOL * (1.0 + np.max(np.abs(b))):
         raise ValueError("forms must be symmetric; symmetrize before use")
     diag = np.diagonal(b, axis1=1, axis2=2)
-    if np.array_equal(b, diag[:, :, None] * np.eye(b.shape[1])):
-        def fn(pts, _d=diag.T.copy()):
-            out, t = 0.0, np.empty(pts.shape[:-1] + _d.shape[1:])
-            for i, d in enumerate(_d):
-                np.multiply(pts[..., i, None], d, out=t)
-                t *= pts[..., i, None]
-                out += t  # the first term makes a new array
-            return out
-    else:
+    if not np.array_equal(b, diag[:, :, None] * np.eye(b.shape[1])):
         def fn(pts, _b=b):
             return np.einsum("...i,kij,...j->...k", pts, _b, pts)
+    else:
+        def fn(pts, _d=diag, _dt=diag.T[..., None].copy()):
+            shape = pts.shape[:-1] + _d.shape[:1]
+            if not narrow(shape, 64):
+                return np.einsum("...i,ki,...i->...k", pts, _d, pts)
+            # x_i as the rows of a (dim, rows) copy, leading axes flattened
+            xs = np.ascontiguousarray(pts.reshape(-1, pts.shape[-1]).T)
+            out, t = 0.0, None
+            for xi, d in zip(xs, _dt):
+                t = np.multiply(xi, d, out=t)
+                t *= xi
+                out += t  # the first term makes a new array
+            del xs, t  # freed first: a report's memory peak meets this copy
+            return np.ascontiguousarray(out.T).reshape(shape)
     return MapHandle(fn, b.shape[1], b.shape[0], label="P", parity="even")
 
 
@@ -95,7 +104,9 @@ def make_bounded_noise(delta: float, seed: int, source_dim: int,
     everywhere, exactly zero at zero, and non-polynomial so it carries
     no accidental additive or quadratic structure.  ``parity`` of
     "even" or "odd" projects the noise onto that class (the projection
-    keeps the sup bound).
+    keeps the sup bound).  After the matmul, the phase and the envelope
+    go on one output column at a time where ``narrow`` (fewer than 8
+    columns, from 512 rows), else broadcast over whole rows.
     """
     if delta < 0.0 or not math.isfinite(delta):
         raise ValueError("delta must be finite and nonnegative")
@@ -107,11 +118,19 @@ def make_bounded_noise(delta: float, seed: int, source_dim: int,
     amp = delta / math.sqrt(target_dim)
 
     def fn(pts, _w=freq, _p=phase, _a=amp):
-        r = np.sqrt(row_sums(pts * pts))[..., None]
-        env = r / (1.0 + r)
+        r = np.sqrt(row_sums(pts * pts))
+        env = _a * (r / (1.0 + r))
         z = pts @ _w.T
-        z += _p
-        return np.multiply(np.cos(z, out=z), _a * env, out=z)
+        if not narrow(z.shape, 512):
+            z += _p
+            return np.multiply(np.cos(z, out=z), env[..., None], out=z)
+        cols = np.moveaxis(z, -1, 0)
+        for c, p in zip(cols, _p):
+            c += p
+        np.cos(z, out=z)
+        for c in cols:
+            c *= env
+        return z
 
     base = MapHandle(fn, source_dim, target_dim, label=label)
     if parity == "even":

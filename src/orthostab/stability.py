@@ -63,9 +63,10 @@ from .funcspace import (DEFAULT_CAP, EvaluationError, MapHandle, SampleGrid,
                         evaluation_scope, even_part, make_grid, map_scale,
                         map_sum, odd_part, scaled_points, shift_to_zero,
                         sup_distance, sup_norm, zero_map)
-from .orthogonality import (OrthoRelation, inner_product_relation, row_sums,
+from .orthogonality import (OrthoRelation, inner_product_relation,
+                            max_row_norm, relation_descriptor,
                             sample_orthogonal_pairs, symmetrize_relation,
-                            relation_descriptor, thalesian_solve)
+                            thalesian_solve)
 
 __all__ = [
     "MAIN_BOUND_COEFFS",
@@ -230,7 +231,7 @@ class DefectReport:
 def _max_row_norm(arr: np.ndarray, what: str) -> float:
     # also catches finite rows whose squared norms overflow to inf
     with np.errstate(over="ignore"):
-        sup = float(np.max(np.sqrt(row_sums(arr * arr))))
+        sup = max_row_norm(arr)
     if not math.isfinite(sup):
         raise EvaluationError(f"non-finite values measuring {what}")
     return sup

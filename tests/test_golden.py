@@ -6,8 +6,9 @@ exit code are pinned.  Two ``axioms`` runs that fail a check are pinned
 as well, so their witnesses are part of the bytes: ``inner`` at radius
 1e-100 fails independence, and ``bj:l1`` is not symmetric.  The same
 runs pin the human-readable stdout and the ``--csv -`` output, with a
-diverging ``extract`` besides.  A change that moves any output byte has
-to say why and re-pin here.
+diverging ``extract`` besides.  Larger ``inner`` runs put point arrays
+on each side of the leaf maps' column gates.  A change that moves any
+output byte has to say why and re-pin here.
 """
 
 import contextlib
@@ -85,6 +86,27 @@ GOLDEN = [
      "8a1b18d1f0207ef38a9d1e30d436722bb78aecc3427b937e95947d792dddc232"),
     ("axioms inner --radius 1e-100", 1,
      "5e0799bc3014287c6fe046d4a8f0dd4979e9a520773afa73d4d67adb845c5124"),
+    # point arrays on each side of the leaves' column gates: 511 and 512
+    # rows for the noise, 63 and 64 for the quadratic map, 7 and 8
+    # columns, and the two-index einsum from 16 coordinates on
+    ("report inner --samples 510 --pairs 511", 0,
+     "d92c71c151bf530184dab570f53927b17e4ed270ccf9b70d9fbfdad2ffb02a31"),
+    ("report inner --samples 511 --pairs 512", 0,
+     "2d614329895cbd00b7aa679f230967ece6464d19b230cd75f46f9bca1f5d02b0"),
+    ("quadratic inner --samples 62 --pairs 64", 0,
+     "25ce90e2785193c1c4170ec4c8d0cba285f6b16dcb5b32866d952560ab2c932d"),
+    ("quadratic inner --samples 63 --pairs 63", 0,
+     "c58a96271bdf99a6791f5b4c531966d8ffb26e2907181655f7d7e09f48aadcde"),
+    ("report inner --dim 7 --samples 600 --pairs 64", 0,
+     "33e2acfa5ed6392bff8d57e3755db01cd0d16e53fe6cc596a13080f256335367"),
+    ("report inner --dim 8 --samples 600 --pairs 64", 0,
+     "1cae90d9ba59ff90c78e578a4a5379a9925b92664028676ed932445da03a62ce"),
+    ("report inner --dim 16 --samples 600 --pairs 64", 0,
+     "6bfcf0c181e711e16ac3162085412387e415e95dc2f508e04ed149e224d4a881"),
+    ("cauchy inner --delta 0.001 --samples 256 --pairs 512", 0,
+     "6b66e5a835e998fc9bd995002b94be10e5ae9108987a82cd52f903d16a77410c"),
+    ("extract inner --samples 600 --pairs 64", 0,
+     "50cbe08389105751c4f57ec8cef4d40355eb7b16e005085ac129c68f8c106c02"),
 ]
 
 # (command, relation and extra flags), exit code, sha256 of the
