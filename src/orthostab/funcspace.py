@@ -20,11 +20,14 @@ take them from ``scaled_points``, which builds each scaled copy of an
 array once per total factor, so 2^n * (2x) is 2^(n+1) x and -(-x) is x,
 with the bits a fresh evaluation gives.  A leaf's value on a row may
 depend on the batch it comes in, as a matmul's does, but not on whether
-its elementwise work runs by rows or by columns.  The Picard ladder
-drops the levels it climbs with ``release_scaled`` and stores the
-values it keeps with ``hand_over``.  Stored arrays are dropped when the
-block exits; point arrays must not change while it is open.  Outside a
-block every call evaluates afresh.
+its elementwise work runs by rows or by columns, nor on whether a batch
+of three or more rows comes alone or as one slice of a (K, N, dim)
+stack.  The Picard ladder reads K levels at once as such a stack, each
+in a nested block of its own; a flattened (K*N, dim) batch would round
+some rows otherwise.  It stores the values it keeps with
+``hand_over``.  Stored arrays are dropped when the block exits; point
+arrays must not change while it is open.  Outside a block every call
+evaluates afresh.
 
 The module also provides the sample grids that stand in for the domain
 and the capped sup distance that stands in for the uniform norm.  A
@@ -52,7 +55,6 @@ __all__ = [
     "MapHandle",
     "evaluation_scope",
     "scaled_points",
-    "release_scaled",
     "hand_over",
     "zero_map",
     "map_sum",
@@ -122,17 +124,6 @@ def scaled_points(c: float, pts: np.ndarray) -> np.ndarray:
         hit = scope[c0 * c, id(base)] = (base, _readonly(c * pts))
         scope[id(hit[1])] = (c0 * c, base)
     return hit[1]
-
-
-def release_scaled(c: float, pts: np.ndarray) -> None:
-    """Drop c * pts and -c * pts from the open scope, with their values."""
-    scope = _SCOPE.get() or {}
-    for key in ((c, id(pts)), (-c, id(pts))):
-        gone = scope.pop(key, (None, None))[1]
-        if gone is not None:
-            scope.pop(id(gone))
-            for k in [k for k, v in scope.items() if v[0] is gone]:
-                del scope[k]
 
 
 def hand_over(m: "MapHandle", pts: np.ndarray, value: np.ndarray) -> None:

@@ -33,6 +33,7 @@ set on all rows at once.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import asdict, dataclass, replace
 from typing import Sequence
 
@@ -472,6 +473,10 @@ def thalesian_solve(rel: OrthoRelation, x, lam) -> np.ndarray:
     gives one y0 per row, each equal bit for bit to the call on that
     row alone.  lam is one value for every row or one value per row.
 
+    Where lam*||x|| is below the smallest normal float, no float
+    carries the split to the precision the second condition is judged
+    at, and the recheck asks x _|_ y0 alone of the candidates.
+
     Raises ThalesianNotFoundError when no candidate passes the recheck
     for a point, with the largest first and second margins over the
     rechecked candidates and lam attached; in a batch such a row is
@@ -569,8 +574,10 @@ def _bj_splits(rel: OrthoRelation, x: np.ndarray, lam: np.ndarray):
         rel.norm, np.concatenate([xs, lhs]).reshape(-1, x.shape[1]),
         np.concatenate([y0, lam[:, None, None] * xs - y0]).reshape(
             -1, x.shape[1])).reshape((2,) + s.shape)
+    blind = lam * nx < sys.float_info.min
     ok = ((first >= -rel.tol * (1.0 + nx[:, None]))
-          & (second >= -rel.tol * (1.0 + norm_eval(rel.norm, lhs))))
+          & ((second >= -rel.tol * (1.0 + norm_eval(rel.norm, lhs)))
+             | blind[:, None]))
     best = np.argmax(np.where(ok, second, -np.inf), axis=1)
     out = y0[np.arange(len(x)), best]
     out[~ok.any(axis=1)] = np.nan

@@ -1,5 +1,6 @@
 """Rescaling-operator tests: exact fixed points, contraction, divergence."""
 
+import collections
 import math
 
 import numpy as np
@@ -9,9 +10,9 @@ from orthostab.fixedpoint import (IterationResult, ScalingOperator,
                                   apriori_bound, iterate, iterate_lockstep)
 from orthostab import funcspace
 from orthostab.funcspace import (INFINITE, EvaluationError, MapHandle,
-                                 evaluation_scope, make_grid, map_scale,
-                                 map_sum, scaled_points, sup_distance,
-                                 zero_map)
+                                 evaluation_scope, even_part, make_grid,
+                                 map_scale, map_sum, odd_part,
+                                 scaled_points, sup_distance, zero_map)
 from orthostab.perturb import (compose_cauchy_instance,
                                compose_pexider_instance,
                                compose_quadratic_instance, make_additive,
@@ -375,3 +376,170 @@ class TestLadderInAScope:
         assert funcspace._SCOPE.get() is None
         for (op, phi0), res in zip(runs, got):
             assert_same_result(res, ref_iterate(op, phi0, grid), grid)
+
+
+def leaf_log(monkeypatch, rows=None):
+    """The shapes of the leaf evaluations that follow; each (leaf, point
+    row bytes) pair they evaluate is counted into the Counter ``rows``."""
+    shapes = []
+    evaluate = MapHandle._evaluate
+
+    def recording(self, arr):
+        if not self._derived:
+            shapes.append(arr.shape)
+            if rows is not None:
+                rows.update((self, r.tobytes())
+                            for r in arr.reshape(-1, arr.shape[-1]))
+        return evaluate(self, arr)
+
+    monkeypatch.setattr(MapHandle, "_evaluate", recording)
+    return shapes
+
+
+def ladder_runs(dim, seed, general):
+    """An odd run under 1/2 and an even one under 1/4 that share one
+    noise leaf, on diagonal forms; with ``general``, two more on a
+    general form and one output column."""
+    rng = np.random.default_rng(seed)
+    forms = np.zeros((3, dim, dim))
+    forms[:, range(dim), range(dim)] = rng.uniform(0.2, 0.8, (3, dim))
+    noise = make_bounded_noise(0.01, seed, dim, 3)
+    runs = [(ScalingOperator(0.5),
+             map_sum(make_additive(rng.uniform(-0.6, 0.6, (3, dim))),
+                     odd_part(noise))),
+            (ScalingOperator(0.25),
+             map_sum(make_quadratic(forms), even_part(noise)))]
+    if general:
+        b = rng.normal(size=(1, dim, dim))
+        runs += [(ScalingOperator(0.25),
+                  map_sum(make_quadratic(b + b.transpose(0, 2, 1)),
+                          make_bounded_noise(0.01, seed, dim, 1, "even"))),
+                 (ScalingOperator(0.5),
+                  map_sum(make_additive(rng.normal(size=(1, dim))),
+                          make_bounded_noise(0.01, seed, dim, 1, "odd")))]
+    return runs
+
+
+def assert_same_outcome(got, run, grid, **kwargs):
+    # a result or an error, as the one-map loop gives it
+    try:
+        want = ref_iterate(*run, grid, **kwargs)
+    except Exception as err:
+        assert type(got) is type(err) and str(got) == str(err)
+    else:
+        assert_same_result(got, want, grid)
+
+
+class TestBlockedLadder:
+    """Blocks of levels give what climbing one level per step gives:
+    verdicts, gaps, limits and errors, and the same leaf points."""
+
+    @pytest.mark.parametrize("dim", [2, 3, 8, 16, 33, 64])
+    @pytest.mark.parametrize("rows", [2, 3, 25, 257, 4097])
+    def test_equals_the_one_map_loop(self, rows, dim, monkeypatch):
+        grid = make_grid(dim, rows - 1, 8.0, seed=rows + dim)
+        # general forms cost dim^2 per point and output column
+        runs = ladder_runs(dim, rows * dim, rows * dim * dim <= 1 << 18)
+        shapes = leaf_log(monkeypatch)
+        with evaluation_scope():
+            got = iterate_lockstep(runs, grid)
+        monkeypatch.undo()
+        for res, run in zip(got, runs):
+            assert res.verdict == "converged"
+            assert_same_outcome(res, run, grid)
+        stacked = [s[0] * s[1] for s in shapes if len(s) == 3]
+        # blocks stay within the row budget, and grids of at most two
+        # rows or more than half of it climb one level per step
+        assert all(n <= 4096 for n in stacked)
+        assert bool(stacked) == (rows in (3, 25, 257))
+
+    @pytest.mark.parametrize("rows", [3, 49, 257])
+    @pytest.mark.parametrize("kwargs", [
+        {"n_max": 0}, {"n_max": 1}, {"n_max": 5},
+        {"n_max": 5, "tol": 1e-30}, {"n_max": 1200, "tol": 1e-300}])
+    def test_budgets(self, rows, kwargs):
+        grid = make_grid(3, rows - 1, 8.0, seed=rows)
+        runs = pexider_runs() + pexider_runs(cubic=1.0)[2:3]
+        # a block predicted from the others' gaps can take the cubic run
+        # far past its divergence, where its values overflow
+        with np.errstate(over="ignore"):
+            got = iterate_lockstep(runs, grid, **kwargs)
+            for res, run in zip(got, runs):
+                assert_same_outcome(res, run, grid, **kwargs)
+
+    def test_past_the_largest_power_of_two(self):
+        # gaps 2^-n * |phi(2^n x) - phi(2^(n+1) x) / 2| stay above 5e-324
+        # up to level 1074, so both maps climb to the level factor
+        # 2.0 ** 1024, which overflows; x / (1 + |x|) is NaN first, on
+        # the level whose points overflow
+        grid = make_grid(3, 24, 8.0, seed=1)
+        kwargs = {"tol": 5e-324, "n_max": 1200}
+        run = (ScalingOperator(0.5), MapHandle(np.tanh, 3, 3, parity="odd"))
+        for climb in (ref_iterate, iterate):
+            with pytest.raises(OverflowError), np.errstate(over="ignore"):
+                climb(*run, grid, **kwargs)
+        run = (ScalingOperator(0.5),
+               MapHandle(lambda p: p / (1.0 + np.abs(p)), 3, 3,
+                         parity="odd"))
+        with np.errstate(invalid="ignore", over="ignore"):
+            (res,) = iterate_lockstep([run], grid, **kwargs)
+            assert isinstance(res, EvaluationError)
+            assert_same_outcome(res, run, grid, **kwargs)
+
+    @pytest.mark.parametrize("rows", [3, 49, 257])
+    def test_failing_maps_inside_a_block(self, rows, monkeypatch):
+        def far_out(limit):
+            def fn(p):
+                if np.abs(p).max() > limit:
+                    raise ValueError(f"evaluated past {limit:g}")
+                return 0.0 * p
+            return MapHandle(fn, 3, 3)
+
+        def non_finite(limit):
+            return MapHandle(lambda p: np.where(
+                np.abs(p).max(axis=-1, keepdims=True) > limit, np.inf,
+                0.0 * p), 3, 3)
+
+        # the even runs converge at level 24 or 25, inside a block that
+        # reaches past 2^31 (tol 1e-300 predicts some 500 levels)
+        grid = make_grid(3, rows - 1, 8.0, seed=rows)
+        kwargs = {"tol": 1e-300, "n_max": 100}
+        runs = [(ScalingOperator(lam), map_sum(phi, bad))
+                for lam, phi, limit in ((0.5, noisy_odd(), 2.0 ** 9),
+                                        (0.25, noisy_even(), 2.0 ** 31))
+                for bad in (far_out(limit), non_finite(limit))]
+        runs += pexider_runs()
+        shapes = leaf_log(monkeypatch)
+        got = iterate_lockstep(runs, grid, **kwargs)
+        monkeypatch.undo()
+        assert str(got[0]) == "evaluated past 512"
+        assert str(got[1]).startswith("phi0 is non-finite on the level-")
+        assert [res.verdict for res in got[2:]] == ["converged"] * 6
+        for res, run in zip(got, runs):
+            assert_same_outcome(res, run, grid, **kwargs)
+        # the maps that raise do so on a block first
+        assert any(len(s) == 3 for s in shapes)
+
+    @pytest.mark.parametrize("rows", [49, 257])
+    @pytest.mark.parametrize("cubic", [None, 1.0])
+    def test_same_leaf_points(self, rows, cubic, monkeypatch):
+        grid = make_grid(3, rows - 1, 8.0, seed=rows)
+        pts = grid.points
+        runs = pexider_runs(cubic)
+        stops = [ref_iterate(op, phi0, grid).n_steps for op, phi0 in runs]
+        want, got = collections.Counter(), collections.Counter()
+        leaf_log(monkeypatch, want)
+        # one level per step, each in a scope of its own
+        for n in range(-1, max(stops) + 1):
+            level = pts if n < 0 else 2.0 ** (n + 1) * pts
+            with evaluation_scope():
+                for (_, phi0), stop in zip(runs, stops):
+                    if n <= stop:
+                        phi0(level)
+        monkeypatch.undo()
+        shapes = leaf_log(monkeypatch, got)
+        with evaluation_scope():
+            res = iterate_lockstep(runs, grid)
+        assert [r.n_steps for r in res] == stops
+        assert got == want
+        assert any(len(s) == 3 for s in shapes)

@@ -14,9 +14,9 @@ from orthostab.fixedpoint import ScalingOperator, iterate
 from orthostab.funcspace import (DEFAULT_CAP, INFINITE, EvaluationError,
                                  MapHandle, SampleGrid, evaluation_scope,
                                  even_part, hand_over, make_grid, map_scale,
-                                 map_sum, odd_part, release_scaled,
-                                 scaled_points, shift_to_zero, sup_distance,
-                                 sup_norm, zero_map)
+                                 map_sum, odd_part, scaled_points,
+                                 shift_to_zero, sup_distance, sup_norm,
+                                 zero_map)
 from orthostab.orthogonality import DimensionMismatchError
 from test_fixedpoint import reference_apply
 
@@ -241,23 +241,6 @@ class TestScaledPoints:
                        -8.0: scaled_points(4.0, scaled_points(-2.0, pts))}
                 got = {c: arr.tobytes() for c, arr in got.items()}
         assert got == want
-
-    def test_release_drops_both_signs_and_their_values(self):
-        log = []
-        f = MapHandle(counted(np.sin, log), 2, 2)
-        pts = np.random.default_rng(5).normal(size=(4, 2))
-        with evaluation_scope():
-            four, minus = scaled_points(4.0, pts), scaled_points(-4.0, pts)
-            f(pts), f(four), f(minus)
-            release_scaled(4.0, pts)
-            held = [x for v in funcspace._SCOPE.get().values() for x in v]
-            assert not any(x is four or x is minus for x in held)
-            again = scaled_points(4.0, pts)
-            assert again is not four
-            f(again), f(pts)
-            release_scaled(8.0, pts)  # nothing stored: a no-op
-        assert len(log) == 4
-        release_scaled(4.0, pts)  # outside a scope: a no-op
 
     def test_hand_over_serves_a_derived_map(self):
         log = []

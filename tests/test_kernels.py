@@ -1,5 +1,6 @@
 """Column kernels that must give NumPy's own bits: row sums, diagonal
-quadratic forms, the noise leaf and the sup norms."""
+quadratic forms, the noise leaf and the sup norms; and every leaf on a
+stack of ladder levels, with the bits of each level alone."""
 
 import math
 
@@ -8,10 +9,11 @@ import pytest
 
 from orthostab import stability
 from orthostab.fixedpoint import ScalingOperator, iterate
-from orthostab.funcspace import make_grid, map_sum, sup_norm
+from orthostab.funcspace import (MapHandle, make_grid, map_sum,
+                                 shift_to_zero, sup_norm)
 from orthostab.orthogonality import max_row_norm, row_sums
 from orthostab.perturb import (make_additive, make_bounded_noise,
-                               make_quadratic)
+                               make_cubic_growth, make_quadratic)
 
 EINSUM = np.einsum
 COS = np.cos
@@ -312,3 +314,46 @@ class TestLongAxisKernels:
                 x = 2.0 ** j * grid.points
                 diff = phi0(x) - 0.25 * phi0(2.0 * x)
                 assert gap == 0.25 ** j * sup_reference(diff)
+
+
+def stack_leaves(dim, k, rng):
+    """Every kind of leaf map, from dim to k columns: the noise, additive,
+    diagonal and general quadratic, cubic and shift (-f(0)) leaves."""
+    b = rng.normal(size=(k, dim, dim))
+    shifted = shift_to_zero(MapHandle(lambda p: np.ones(p.shape[:-1] + (k,)),
+                                      dim, k))
+    return {"noise": make_bounded_noise(0.3, 7, dim, k),
+            "additive": make_additive(rng.normal(size=(k, dim))),
+            "diagonal": make_quadratic(diagonal_forms(dim, k, rng)),
+            "general": make_quadratic(b + b.transpose(0, 2, 1)),
+            "cubic": make_cubic_growth(1.5, dim, k),
+            "shift": shifted.terms[-1]}
+
+
+@pytest.mark.parametrize("dim", [2, 3, 7, 8, 16, 33, 64])
+def test_leaves_on_stacked_levels(dim):
+    # the Picard ladder reads K levels c * pts of N rows as one (K, N,
+    # dim) stack: each slice must round as that level does alone.  N and
+    # K straddle the gates: 64 rows for the diagonal quadratic map, 512
+    # for the noise, 8 columns in and out
+    rng = np.random.default_rng(dim)
+    for k in sorted({1, 3, 7, 8, dim}):
+        for name, leaf in stack_leaves(dim, k, rng).items():
+            for n in (2, 3, 25, 40, 257):
+                # on two-row levels of a 2 x 2 form the einsum may add in
+                # another order: the ladder climbs such grids level by level
+                if name == "general" and (n == 2 or n * k * dim > 1 << 14):
+                    continue
+                pts = rng.standard_normal((n, dim)) * 8.0
+                pts[0] = 0.0
+                for K in (K for K in (1, 2, 3, 12, 13, 15)
+                          if K == 1 or n * K * k * dim <= 1 << 21):
+                    first = int(rng.integers(1, 40))
+                    factors = [2.0 ** m for m in range(first, first + K)]
+                    stack = np.multiply.outer(factors, pts)
+                    for sign in (1.0, -1.0):
+                        with np.errstate(over="ignore", invalid="ignore"):
+                            got = leaf(sign * stack)
+                            want = np.stack([leaf(sign * c * pts)
+                                             for c in factors])
+                        assert same_bits(got, want), (name, k, n, K, sign)

@@ -508,6 +508,9 @@ class TestThalesian:
     # lam*||x|| lies below the smallest subnormal, so y0 rounds to 0
     @example(norm="l1", dim=2, seed=1, lam=2.225073858507e-311,
              scale=1e-100)
+    # at unit scale too: a sampled x whose every candidate missed the
+    # second condition by 5e-16 once raised ThalesianNotFoundError
+    @example(norm="l1", dim=6, seed=1453015, lam=5e-324, scale=1.0)
     def test_polyhedral_sampler_and_split_never_fail(self, norm, dim, seed,
                                                      lam, scale):
         rel = birkhoff_james_relation(norm)
