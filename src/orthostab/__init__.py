@@ -33,12 +33,10 @@ from .perturb import (GroundTruth, compose_cauchy_instance,
                       make_quadratic, random_ground_truth)
 from .stability import (ADDITIVE_CASE_COEFFS, MAIN_BOUND_COEFFS, BoundCheck,
                         DefectReport, DivergenceError, DoublingIdentityError,
-                        PipelineConfig, RatzDecomposition, StabilityReport,
-                        closure_pairs, derive_normalized_parts,
-                        doubling_defect, extract_even, extract_odd,
-                        mixed_parity_defect, necessity_check, pexider_defect,
-                        ratz_decompose, run_cauchy_corollary,
-                        run_inner_product_corollary, run_main_theorem,
-                        run_quadratic_corollary)
+                        PipelineConfig, StabilityReport, closure_pairs,
+                        derive_normalized_parts, doubling_defect,
+                        extract_even, extract_odd, mixed_parity_defect,
+                        necessity_check, pexider_defect, run_cauchy_corollary,
+                        run_main_theorem, run_quadratic_corollary)
 
 __version__ = "0.1.0"

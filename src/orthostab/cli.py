@@ -242,12 +242,14 @@ def _cmd_extract(args: argparse.Namespace, rel) -> tuple:
                     label="f+cubic")
     parts = derive_normalized_parts(f, g, h, k)
     grid = make_grid(args.dim, args.samples, args.radius, args.seed + 1)
-    runs = {name: extractor(phi, grid, tol=args.tol, n_max=args.n_max)[1]
-            for name, phi, extractor in (
-                ("R", parts.Fo, extract_odd),
-                ("R_prime", parts.Go, extract_odd),
-                ("S", parts.Fe, extract_even),
-                ("S_prime", parts.Ge, extract_even))}
+    # one scope: the runs share their leaves on +-grid and +-2*grid
+    with evaluation_scope():
+        runs = {name: extractor(phi, grid, tol=args.tol, n_max=args.n_max)[1]
+                for name, phi, extractor in (
+                    ("R", parts.Fo, extract_odd),
+                    ("R_prime", parts.Go, extract_odd),
+                    ("S", parts.Fe, extract_even),
+                    ("S_prime", parts.Ge, extract_even))}
     lines = [f"  {name:8s} {res.verdict:28s} steps={res.n_steps:3d} "
              f"gap0={first:.3e} gapN={last:.3e}"
              for name, res in runs.items() for first, last in [_gap_ends(res)]]
@@ -379,6 +381,9 @@ def execute(args: argparse.Namespace) -> int:
                        "norms of sampled points overflow")
     if args.n_max < 0:
         return _error("--n-max must be nonnegative")
+    if args.seed < 0:
+        # numpy's own refusal does not name the option
+        return _error("--seed must be nonnegative")
     if args.json == "-" and args.csv == "-":
         return _error("--json - and --csv - cannot both write to stdout")
     paths = [path for path in (args.json, args.csv) if path not in (None, "-")]

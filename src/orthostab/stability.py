@@ -40,13 +40,12 @@ each comparison round identically).
 
 The joint even-doubling bound is left out when no split witness is
 found.  Specialized runs cover the additive case (g = 0, with the
-sharper coefficients 14, 16, 32 and 72), the purely quadratic case
+sharper coefficients 14, 16, 32 and 72) and the purely quadratic case
 (f = g even, h = k = 2f, with the additive extract certified to be
-small) and the inner-product relation (dimension at least 3); the first
-two append one check of their own after the table's.  A decomposition
-helper splits any corrector into its odd and even parts and measures
-how additive and how quadratic they are, and a necessity check
-verifies the doubling identity that any corrector must satisfy.
+small); each appends one check of its own after the table's.  The
+inner-product case is ``run_main_theorem`` over
+``inner_product_relation()``.  A necessity check verifies the doubling
+identity that any corrector must satisfy.
 """
 
 from __future__ import annotations
@@ -63,9 +62,8 @@ from .funcspace import (DEFAULT_CAP, EvaluationError, MapHandle, SampleGrid,
                         evaluation_scope, even_part, make_grid, map_scale,
                         map_sum, odd_part, scaled_points, shift_to_zero,
                         sup_distance, sup_norm, zero_map)
-from .orthogonality import (OrthoRelation, inner_product_relation,
-                            max_row_norm, relation_descriptor,
-                            sample_orthogonal_pairs, symmetrize_relation,
+from .orthogonality import (OrthoRelation, max_row_norm,
+                            relation_descriptor, sample_orthogonal_pairs,
                             thalesian_solve)
 
 __all__ = [
@@ -75,7 +73,6 @@ __all__ = [
     "BoundCheck",
     "DefectReport",
     "StabilityReport",
-    "RatzDecomposition",
     "DivergenceError",
     "DoublingIdentityError",
     "pexider_defect",
@@ -88,10 +85,7 @@ __all__ = [
     "run_main_theorem",
     "run_cauchy_corollary",
     "run_quadratic_corollary",
-    "run_inner_product_corollary",
-    "ratz_decompose",
     "necessity_check",
-    "symmetrize_relation",
 ]
 
 # distance name -> certified multiple of the measured defect
@@ -342,52 +336,6 @@ def extract_even(phi: MapHandle, grid: SampleGrid, tol: float = 1e-10,
     """Quadratic extraction: Picard limit under phi -> phi(2x)/4."""
     res = iterate(ScalingOperator(0.25), phi, grid, tol=tol, n_max=n_max)
     return res.limit, res
-
-
-@dataclass
-class RatzDecomposition:
-    """A corrector split into odd and even components, with defects.
-
-    ``additive_defect`` measures the odd component against unrestricted
-    additivity, ``quadratic_defect`` the even component against the
-    parallelogram-type identity, and ``recomposition_defect`` how far
-    the two components fall short of re-assembling the input.
-    """
-
-    odd_component: MapHandle
-    even_component: MapHandle
-    additive_defect: float
-    quadratic_defect: float
-    recomposition_defect: float
-
-    def to_dict(self) -> dict:
-        return {
-            "additive_defect": self.additive_defect,
-            "quadratic_defect": self.quadratic_defect,
-            "recomposition_defect": self.recomposition_defect,
-        }
-
-
-def ratz_decompose(t: MapHandle, grid: SampleGrid) -> RatzDecomposition:
-    """Split t into odd + even parts and measure their identities.
-
-    Pairs for the identity checks are all combinations of the first 32
-    grid points, origin included, with no orthogonality restriction.
-    """
-    a = odd_part(t)
-    p = even_part(t)
-    pts = grid.points[:32]
-    n = len(pts)
-    xs = np.repeat(pts, n, axis=0)
-    ys = np.tile(pts, (n, 1))
-    add_res = a(xs + ys) - a(xs) - a(ys)
-    quad_res = p(xs + ys) + p(xs - ys) - 2.0 * p(xs) - 2.0 * p(ys)
-    return RatzDecomposition(
-        a, p,
-        _max_row_norm(add_res, "the additivity defect"),
-        _max_row_norm(quad_res, "the quadratic identity defect"),
-        sup_distance(map_sum(a, p), t, grid),
-    )
 
 
 def necessity_check(f: MapHandle, t: MapHandle, grid: SampleGrid,
@@ -762,20 +710,3 @@ def run_quadratic_corollary(rel: OrthoRelation, q: MapHandle,
     h = map_scale(2.0, q, label="2Q")
     coeffs = {**MAIN_BOUND_COEFFS, "additive_component_size": 18.0}
     return _run_pipeline(rel, q, q, h, h, config, coeffs, "quadratic")
-
-
-def run_inner_product_corollary(f: MapHandle, g: MapHandle, h: MapHandle,
-                                k: MapHandle,
-                                config: PipelineConfig = PipelineConfig()
-                                ) -> StabilityReport:
-    """The pipeline over euclidean orthogonality, dimension >= 3.
-
-    In dimensions 1 and 2 the euclidean relation lacks the splitting
-    structure the argument consumes, so those are rejected outright.
-    """
-    if f.source_dim < 3:
-        raise ValueError(
-            "the inner-product specialization needs dimension >= 3")
-    rel = inner_product_relation()
-    return _run_pipeline(rel, f, g, h, k, config, MAIN_BOUND_COEFFS,
-                         "inner_product")

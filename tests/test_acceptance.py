@@ -17,7 +17,8 @@ import numpy as np
 import pytest
 
 from orthostab.cli import main as cli_main
-from orthostab.funcspace import make_grid, map_sum, sup_distance
+from orthostab.funcspace import (even_part, make_grid, map_scale, map_sum,
+                                 odd_part, sup_distance)
 from orthostab.orthogonality import (birkhoff_james_relation,
                                      inner_product_relation, is_orthogonal,
                                      thalesian_solve)
@@ -25,7 +26,7 @@ from orthostab.perturb import (compose_cauchy_instance,
                                compose_pexider_instance,
                                compose_quadratic_instance, make_cubic_growth,
                                random_ground_truth)
-from orthostab.stability import (extract_even, ratz_decompose,
+from orthostab.stability import (PipelineConfig, extract_even,
                                  run_cauchy_corollary, run_main_theorem,
                                  run_quadratic_corollary)
 
@@ -262,19 +263,37 @@ def test_criterion_08_necessity(sweep, cauchy_reports, quadratic_reports):
 
 
 def test_criterion_09_corrector_decomposition():
-    """An exact odd+even corrector splits back into its two laws."""
+    """The pipeline's corrector T = R + S splits into its two laws.
+
+    The quadruple (P + A, 3P - A, 4P, 4P + 2A) solves the equation on
+    orthogonal pairs, as the generator's does, but gives f and g even
+    parts of their own: with a shared P, S and S' are one map.
+    """
     failures = []
-    gt = random_ground_truth(3, delta=0.0, seed=0)
-    t = map_sum(gt.additive_map(), gt.quadratic_map())
-    grid = make_grid(3, 64, 8.0, seed=3)
-    dec = ratz_decompose(t, grid)
-    if dec.additive_defect > 1e-9:
-        failures.append(f"additivity defect {dec.additive_defect:.3e}")
-    if dec.quadratic_defect > 1e-9:
-        failures.append(f"quadratic defect {dec.quadratic_defect:.3e}")
-    if dec.recomposition_defect > 1e-12:
-        failures.append(
-            f"recomposition defect {dec.recomposition_defect:.3e}")
+    for name, rel in (("inner", inner_product_relation()),
+                      ("bj:l2", birkhoff_james_relation("l2"))):
+        for dim in (2, 3, 5):
+            for s in SEEDS:
+                gt = random_ground_truth(dim, delta=0.0, seed=s)
+                a, p = gt.additive_map(), gt.quadratic_map()
+                quad = (map_sum(p, a), map_sum(map_scale(3.0, p),
+                                               map_scale(-1.0, a)),
+                        map_scale(4.0, p),
+                        map_sum(map_scale(4.0, p), map_scale(2.0, a)))
+                rep = run_main_theorem(rel, *quad, PipelineConfig(seed=s))
+                tag, c = f"{name} dim={dim} s={s}", rep.components
+                if odd_part(c["T"]) is not c["R"]:
+                    failures.append(f"{tag}: odd part of T is not R")
+                if even_part(c["T"]) is not c["S"]:
+                    failures.append(f"{tag}: even part of T is not S")
+                diag = rep.diagnostics
+                for key in ("orthogonal_additivity_of_R",
+                            "orthogonal_quadratic_identity_of_S"):
+                    if diag[key] > 1e-9:
+                        failures.append(f"{tag}: {key} {diag[key]:.3e}")
+                if any(diag["scaling_residuals"].values()):
+                    failures.append(f"{tag}: scaling residuals "
+                                    f"{diag['scaling_residuals']}")
     _emit(9, "corrector-decomposition", failures)
 
 

@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, serialization, determinism."""
 
+import collections
 import contextlib
 import io
 import json
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 
 from orthostab import cli, stability
 from orthostab.cli import _fmt, dump_json_17g, main, parse_args
-from orthostab.funcspace import MapHandle, map_sum
+from orthostab.funcspace import MapHandle, make_grid, map_sum
 
 FAST = ["--samples", "48", "--pairs", "48"]
 
@@ -124,6 +125,15 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    # numpy refuses a negative seed with a message that names no option
+    @pytest.mark.parametrize("command", ["axioms", "defect", "extract",
+                                         "report", "cauchy", "quadratic"])
+    def test_negative_seed_is_usage_error(self, command, capsys):
+        assert main([command, "--seed", "-1", *FAST]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --seed must be nonnegative\n"
+
     # every comparison with NaN is false, so the guard must ask for the
     # valid range rather than test for the invalid one
     @pytest.mark.parametrize("option", ["--radius", "--tol", "--delta"])
@@ -230,6 +240,35 @@ class TestExitCodes:
         assert err.startswith("error: corrector violates the doubling")
         assert "> 4.0e-10" in err
         assert err.count("\n") == 1
+
+
+class TestExtractScope:
+    def test_each_leaf_is_read_once_per_grid_copy(self, monkeypatch):
+        # the four extractions share one scope, so a leaf that several
+        # of them read (both parities of a noise map, the additive and
+        # the quadratic map of f and of g) is evaluated once on each of
+        # +-grid and +-2*grid
+        argv = ["extract", "--delta", "0.01", *FAST]
+        args = parse_args(argv)
+        pts = make_grid(args.dim, args.samples, args.radius,
+                        args.seed + 1).points
+        copies = [c * pts for c in (1.0, -1.0, 2.0, -2.0)]
+        reads = collections.Counter()
+        evaluate = MapHandle._evaluate
+
+        def counted(m, arr):
+            if not m._derived:
+                reads.update((m, i) for i, p in enumerate(copies)
+                             if np.array_equal(arr, p))
+            return evaluate(m, arr)
+
+        monkeypatch.setattr(MapHandle, "_evaluate", counted)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv) == 0
+        # A and P on grid and 2*grid (their parity spares the negated
+        # copies), the two noise maps on all four
+        assert len(reads) == 12
+        assert set(reads.values()) == {1}
 
 
 class TestTopLevelGuard:

@@ -29,9 +29,7 @@ from orthostab.stability import (ADDITIVE_CASE_COEFFS, MAIN_BOUND_COEFFS,
                                  PipelineConfig, _check, closure_pairs,
                                  derive_normalized_parts, doubling_defect,
                                  extract_even, extract_odd, necessity_check,
-                                 pexider_defect, ratz_decompose,
-                                 run_cauchy_corollary,
-                                 run_inner_product_corollary,
+                                 pexider_defect, run_cauchy_corollary,
                                  run_main_theorem, run_quadratic_corollary)
 
 # the gap checks engineered to vanish identically on exact instances
@@ -694,43 +692,6 @@ class TestQuadraticCorollary:
                                     config=SMALL,
                                     contaminant=make_cubic_growth(1.0, 3, 3))
         assert exc.value.component == "S"
-
-
-class TestInnerProductCorollary:
-    def test_dimension_gate(self):
-        gt = random_ground_truth(2, delta=0.0, seed=17)
-        f, g, h, k = compose_pexider_instance(gt)
-        with pytest.raises(ValueError, match="dimension"):
-            run_inner_product_corollary(f, g, h, k, config=SMALL)
-
-    def test_runs_in_dim_three(self):
-        gt = random_ground_truth(3, delta=1e-3, seed=18)
-        f, g, h, k = compose_pexider_instance(gt)
-        report = run_inner_product_corollary(f, g, h, k, config=SMALL)
-        assert report.corollary == "inner_product"
-        assert report.passed
-
-
-class TestRatzDecomposition:
-    def test_exact_corrector_splits_cleanly(self):
-        a = make_additive(np.random.default_rng(5).normal(size=(3, 3)))
-        forms = np.stack([np.eye(3), np.diag([0.5, 1.0, 2.0]),
-                          0.3 * np.eye(3)])
-        t = map_sum(a, make_quadratic(forms))
-        grid = make_grid(3, 48, 8.0, seed=2)
-        dec = ratz_decompose(t, grid)
-        assert dec.additive_defect <= 1e-9
-        assert dec.quadratic_defect <= 1e-9
-        assert dec.recomposition_defect <= 1e-12
-        assert dec.odd_component.parity == "odd"
-        assert dec.even_component.parity == "even"
-
-    def test_to_dict(self):
-        t = make_additive(np.eye(2))
-        grid = make_grid(2, 16, 4.0, seed=0)
-        d = ratz_decompose(t, grid).to_dict()
-        assert set(d) == {"additive_defect", "quadratic_defect",
-                          "recomposition_defect"}
 
 
 class TestNecessity:
