@@ -35,7 +35,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import asdict, dataclass, replace
-from typing import Sequence
 
 import numpy as np
 
@@ -65,7 +64,7 @@ __all__ = [
 
 DEFAULT_TOL = 1e-9
 
-_NORM_KINDS = ("euclidean", "l1", "linf", "weighted")
+_NORM_KINDS = ("euclidean", "l1", "linf")
 _RELATION_KINDS = ("trivial", "inner_product", "birkhoff_james")
 # floats per block of a row-batched temporary (2 MB each): the l1/linf
 # split's slopes, and the sampler's (rows, dim, dim) minors and margins
@@ -108,23 +107,13 @@ def as_point(x) -> np.ndarray:
 
 @dataclass(frozen=True)
 class NormSpec:
-    """A norm on R^n: euclidean, l1, linf, or weighted euclidean."""
+    """A norm on R^n: euclidean, l1 or linf."""
 
     kind: str = "euclidean"
-    weights: tuple[float, ...] | None = None
 
     def __post_init__(self):
         if self.kind not in _NORM_KINDS:
             raise ValueError(f"unknown norm kind {self.kind!r}")
-        if self.kind == "weighted":
-            if not self.weights:
-                raise ValueError("weighted norm requires a weight sequence")
-            ws = tuple(float(w) for w in self.weights)
-            if any(not math.isfinite(w) or w <= 0.0 for w in ws):
-                raise ValueError("weights must be positive and finite")
-            object.__setattr__(self, "weights", ws)
-        elif self.weights is not None:
-            raise ValueError("weights are only meaningful for kind='weighted'")
 
     @classmethod
     def euclidean(cls) -> "NormSpec":
@@ -138,10 +127,6 @@ class NormSpec:
     def linf(cls) -> "NormSpec":
         return cls("linf")
 
-    @classmethod
-    def weighted(cls, weights: Sequence[float]) -> "NormSpec":
-        return cls("weighted", tuple(float(w) for w in weights))
-
 
 def norm_eval(spec: NormSpec, x) -> float | np.ndarray:
     """Evaluate the norm along the last axis; scalar out for 1-D input."""
@@ -150,15 +135,8 @@ def norm_eval(spec: NormSpec, x) -> float | np.ndarray:
         out = np.sqrt(row_sums(arr * arr))
     elif spec.kind == "l1":
         out = row_sums(np.abs(arr))
-    elif spec.kind == "linf":
-        out = np.max(np.abs(arr), axis=-1)
     else:
-        w = np.asarray(spec.weights, dtype=float)
-        if w.shape[0] != arr.shape[-1]:
-            raise DimensionMismatchError(
-                f"weighted norm has {w.shape[0]} weights, point has "
-                f"dimension {arr.shape[-1]}")
-        out = np.sqrt(row_sums(w * arr * arr))
+        out = np.max(np.abs(arr), axis=-1)
     if out.ndim == 0:
         return float(out)
     return out
@@ -171,7 +149,7 @@ def _bj_margins(spec: NormSpec, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     in x and invariant under rescaling y), so no intermediate can
     overflow or underflow.  Then, by norm:
 
-    * euclidean/weighted: the length of the projection of x off y;
+    * euclidean: the length of the projection of x off y;
     * l1: the minimand is convex and piecewise linear with breakpoints
       t = -x_i/y_i, so its minimum is the least value at a breakpoint
       in [-2, 2] (beyond that ||x + t*y|| >= |t| - 1 > ||x||);
@@ -191,9 +169,8 @@ def _bj_margins(spec: NormSpec, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         return out
     x = xs[live] / nx[live, None]
     y = ys[live] / ny[live, None]
-    if spec.kind in ("euclidean", "weighted"):
-        w = 1.0 if spec.kind == "euclidean" else np.asarray(spec.weights)
-        c = row_sums(w * x * y)
+    if spec.kind == "euclidean":
+        c = row_sums(x * y)
         # ||x - c*y|| - 1 = -c^2 / (1 + ||x - c*y||), accurate whether y
         # is nearly orthogonal or nearly parallel to x
         r = np.atleast_1d(norm_eval(spec, x - c[:, None] * y))
@@ -412,18 +389,6 @@ def unit_perp(x) -> np.ndarray:
     return v[0] if single else v
 
 
-def _weighted_perp(x: np.ndarray, weights) -> np.ndarray:
-    # row-wise perpendicular in the weighted inner product <u, v> = sum w u v
-    w = np.asarray(weights, dtype=float)
-    idx = np.arange(len(x))
-    j = np.argmin(np.abs(x), axis=1)
-    v = np.zeros_like(x)
-    v[idx, j] = 1.0
-    denom = np.sum(w * x * x, axis=1)
-    v -= (w[j] * x[idx, j] / denom)[:, None] * x
-    return v / np.sqrt(np.sum(w * v * v, axis=1))[:, None]
-
-
 def _norming_functional(spec: NormSpec, xs: np.ndarray) -> np.ndarray:
     # row-wise functionals of dual norm 1 with phi(x) = ||x|| (l1 or linf)
     if spec.kind == "l1":
@@ -439,23 +404,17 @@ def _kernel_part(phi: np.ndarray, us: np.ndarray) -> np.ndarray:
 
 def _closed_form_split(rel: OrthoRelation, x: np.ndarray,
                        lam: np.ndarray) -> np.ndarray:
-    # trivial, inner product, and inner-product-like BJ norms, row by row:
+    # trivial, inner product and euclidean Birkhoff-James, row by row:
     # y0 is a perpendicular scaled so that
     # <x + y0, lam*x - y0> = lam|x|^2 - |y0|^2 = 0
-    if rel.kind == "birkhoff_james" and rel.norm.kind == "weighted":
-        u = _weighted_perp(x, rel.norm.weights)
-        nx = norm_eval(rel.norm, x)
-    else:
-        u = unit_perp(x)
-        nx = np.sqrt(_row_dots(x, x))
-    return (np.sqrt(lam) * nx)[:, None] * u
+    return (np.sqrt(lam) * np.sqrt(_row_dots(x, x)))[:, None] * unit_perp(x)
 
 
 def thalesian_solve(rel: OrthoRelation, x, lam) -> np.ndarray:
     """Solve the splitting axiom: y0 with x _|_ y0, x+y0 _|_ lam*x - y0.
 
-    Closed form for the trivial, inner-product, and euclidean or
-    weighted Birkhoff-James relations.  For l1/linf Birkhoff-James,
+    Closed form for the trivial, inner-product and euclidean
+    Birkhoff-James relations.  For l1/linf Birkhoff-James,
     y0 = s*y_dir with y_dir in the kernel of a norming functional of x,
     so x _|_ y0 for every s.  The second condition holds where 0 lies
     between the one-sided slopes at t = 0 of
@@ -729,9 +688,10 @@ def sample_orthogonal_pairs(rel: OrthoRelation, dim: int, count: int,
     on their presence.  Remaining rows are nonzero pairs built per
     relation kind: x is a random point of norm at most radius, and y
     is an independent random point (trivial), the projection of a
-    normal vector off x (inner-product-like), or a normal vector's part
-    in the kernel of a norming functional of x, kept only with a margin
-    well inside the predicate's tolerance (l1/linf Birkhoff-James).
+    normal vector off x (inner product, euclidean Birkhoff-James), or
+    a normal vector's part in the kernel of a norming functional of x,
+    kept only with a margin well inside the predicate's tolerance
+    (l1/linf Birkhoff-James).
 
     Rows are drawn one after another, two generator calls a draw
     (``_draws``); a try that fails is redrawn, up to eight times per
@@ -845,11 +805,7 @@ def _directions(rel: OrthoRelation, xs: np.ndarray, vs: np.ndarray):
     if rel.kind == "trivial":
         return (vs,) + _lengths(vs)
     if _inner_like(rel):
-        w = (np.asarray(rel.norm.weights)
-             if rel.kind == "birkhoff_james" and rel.norm.kind == "weighted"
-             else 1.0)
-        ds = vs - (row_sums(w * vs * xs)
-                   / row_sums(w * xs * xs))[:, None] * xs
+        ds = vs - (row_sums(vs * xs) / row_sums(xs * xs))[:, None] * xs
         nd = np.sqrt(_row_dots(ds, ds))
         return ds, nd, nd > 1e-8
     # l1/linf Birkhoff-James: x _|_ y exactly when some norming
@@ -921,6 +877,4 @@ def relation_descriptor(rel: OrthoRelation) -> dict:
                "symmetrized": rel.symmetrized}
     if rel.kind == "birkhoff_james":
         d["norm"] = rel.norm.kind
-        if rel.norm.weights is not None:
-            d["weights"] = list(rel.norm.weights)
     return d

@@ -50,15 +50,10 @@ def ref_generate_pair(rel, rng, dim, radius):
             if ref_max_minor(x, y) > 1e-6 * scale:
                 return x, y
         raise PairGenerationError("could not find an independent partner")
-    if rel.kind == "inner_product" or (
-            rel.kind == "birkhoff_james"
-            and rel.norm.kind in ("euclidean", "weighted")):
-        w = (np.asarray(rel.norm.weights)
-             if rel.kind == "birkhoff_james" and rel.norm.kind == "weighted"
-             else np.ones(dim))
+    if rel.kind == "inner_product" or rel.norm.kind == "euclidean":
         for _ in range(8):
             v = rng.normal(size=dim)
-            v -= (float(np.sum(w * v * x)) / float(np.sum(w * x * x))) * x
+            v -= (float(np.sum(v * x)) / float(np.sum(x * x))) * x
             nv = math.sqrt(float(v @ v))
             if nv > 1e-8:
                 return x, (radius * rng.uniform(0.1, 1.0) / nv) * v
@@ -216,11 +211,9 @@ def ref_check_axioms(rel, dim, n_samples=256, seed=0, radius=8.0,
                        checks)
 
 
-def _relations(dim):
+def _relations():
     base = [trivial_relation(), inner_product_relation(),
             birkhoff_james_relation("l2"),
-            birkhoff_james_relation(
-                NormSpec.weighted(np.linspace(0.5, 3.0, dim))),
             birkhoff_james_relation("l1"), birkhoff_james_relation("linf")]
     return base + [symmetrize_relation(r) for r in base]
 
@@ -256,13 +249,13 @@ def _probe_rows(dim, seed, scale):
 @pytest.mark.parametrize("scale", [1e-100, 1.0, 1e100])
 def test_predicate_matches_one_point_reference(dim, scale):
     xs, ys = _probe_rows(dim, seed=dim, scale=scale)
-    for rel in _relations(dim):
+    for rel in _relations():
         want = [ref_is_orthogonal(rel, x, y) for x, y in zip(xs, ys)]
         assert orth._orthogonal(rel, xs, ys).tolist() == want
         assert [is_orthogonal(rel, x, y) for x, y in zip(xs, ys)] == want
     # the probe rows reach both verdicts for every relation at unit scale
     if scale == 1.0:
-        for rel in _relations(dim):
+        for rel in _relations():
             assert len({ref_is_orthogonal(rel, x, y)
                         for x, y in zip(xs, ys)}) == 2
 
@@ -293,8 +286,8 @@ def _assert_same_report(got, want):
     ("bj:linf", birkhoff_james_relation("linf"), 8, 4, 1, 1e100),
     ("bj:l1 sym", symmetrize_relation(birkhoff_james_relation("l1")),
      3, 40, 2, 8.0),
-    ("bj:weighted", birkhoff_james_relation(
-        NormSpec.weighted([0.5, 1.0, 2.0])), 3, 20, 3, 8.0),
+    ("bj:linf sym", symmetrize_relation(birkhoff_james_relation("linf")),
+     3, 20, 3, 8.0),
     # homogeneity fails: pairs sampled at 1e-6 miss a tolerance of 0.05
     ("trivial tol", OrthoRelation("trivial", tol=0.05), 3, 64, 5, 8.0),
     # some sampled pairs redraw their partner
@@ -451,13 +444,11 @@ def _sampled(sample, rel, dim, count, radius, seed):
 
 
 @pytest.mark.parametrize("dim", [2, 3, 4, 8, 17, 64])
-@pytest.mark.parametrize("name", ["trivial", "inner", "bj:l2", "bj:weighted",
-                                  "bj:l1", "bj:linf"])
+@pytest.mark.parametrize("name", ["trivial", "inner", "bj:l2", "bj:l1",
+                                  "bj:linf"])
 def test_sampler_matches_one_pair_reference(name, dim):
     rel = {"trivial": trivial_relation(), "inner": inner_product_relation(),
            "bj:l2": birkhoff_james_relation(),
-           "bj:weighted": birkhoff_james_relation(
-               NormSpec.weighted(np.linspace(0.5, 3.0, dim))),
            "bj:l1": birkhoff_james_relation("l1"),
            "bj:linf": birkhoff_james_relation("linf")}[name]
     count = 40 if dim <= 8 else 12

@@ -4,6 +4,7 @@ Margin values are checked against an independent dense-grid oracle so
 the closed-form margins are never trusted to certify themselves.
 """
 
+import json
 import math
 import sys
 
@@ -12,13 +13,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from orthostab import cli
 from orthostab.orthogonality import (DEFAULT_TOL, DimensionMismatchError,
-                                     NormSpec, PairGenerationError,
+                                     NormSpec, OrthoRelation,
+                                     PairGenerationError,
                                      ThalesianNotFoundError, _bj_margins,
                                      birkhoff_james_relation, bj_margin,
                                      check_axioms,
                                      inner_product_relation, is_orthogonal,
-                                     norm_eval, sample_orthogonal_pairs,
+                                     norm_eval, relation_descriptor,
+                                     sample_orthogonal_pairs,
                                      symmetrize_relation, thalesian_solve,
                                      trivial_relation, unit_perp)
 
@@ -47,12 +51,6 @@ def margin_oracle(spec, x, y, n=20001, rounds=4):
     return min(val - nx, 0.0)
 
 
-def _spec(kind, dim):
-    if kind == "weighted":
-        return NormSpec.weighted(np.linspace(0.5, 2.0, dim))
-    return NormSpec(kind)
-
-
 # coordinates with exact zeros and repeated magnitudes (l1 kinks, linf
 # ties) next to generic values
 _coord = st.one_of(st.integers(-3, 3).map(float), st.floats(0.001, 4.0),
@@ -60,7 +58,7 @@ _coord = st.one_of(st.integers(-3, 3).map(float), st.floats(0.001, 4.0),
 _vec_pair = st.integers(2, 5).flatmap(
     lambda d: st.tuples(st.lists(_coord, min_size=d, max_size=d),
                         st.lists(_coord, min_size=d, max_size=d)))
-_kinds = st.sampled_from(["euclidean", "l1", "linf", "weighted"])
+_kinds = st.sampled_from(["euclidean", "l1", "linf"])
 
 
 class TestNorms:
@@ -69,23 +67,15 @@ class TestNorms:
         assert norm_eval(NormSpec.linf(), [1.0, -2.0]) == 2.0
         assert norm_eval(NormSpec.l1(), [1.0, 2.0]) == 3.0
 
-    def test_weighted(self):
-        spec = NormSpec.weighted([4.0, 1.0])
-        assert norm_eval(spec, [1.0, 0.0]) == 2.0
-        assert norm_eval(spec, [0.0, 3.0]) == 3.0
-
     def test_batch_shape(self):
         out = norm_eval(NormSpec.l1(), np.ones((5, 4, 3)))
         assert out.shape == (5, 4)
         assert np.all(out == 3.0)
 
     def test_invalid(self):
-        with pytest.raises(ValueError):
-            NormSpec("l3")
-        with pytest.raises(ValueError):
-            NormSpec.weighted([1.0, -1.0])
-        with pytest.raises(ValueError):
-            NormSpec("euclidean", weights=(1.0,))
+        for kind in ("l3", "weighted"):
+            with pytest.raises(ValueError):
+                NormSpec(kind)
 
 
 class TestMargin:
@@ -109,8 +99,7 @@ class TestMargin:
                 assert bj_margin(spec, x, y) <= 0.0
 
     @pytest.mark.parametrize("spec", [NormSpec.euclidean(), NormSpec.l1(),
-                                      NormSpec.linf(),
-                                      NormSpec.weighted([1.0, 2.0, 0.5])])
+                                      NormSpec.linf()])
     def test_against_dense_oracle(self, spec):
         rng = np.random.default_rng(17)
         for _ in range(12):
@@ -150,7 +139,7 @@ class TestMargin:
            exponent=st.sampled_from([-100, 0, 100]))
     def test_exact_margin_below_dense_oracle(self, kind, xy, exponent):
         x, y = (np.array(v) * 10.0 ** exponent for v in xy)
-        spec = _spec(kind, x.size)
+        spec = NormSpec(kind)
         got = bj_margin(spec, x, y)
         assert got <= 0.0
         assert got <= margin_oracle(spec, x, y) + 1e-12 * norm_eval(spec, x)
@@ -160,7 +149,7 @@ class TestMargin:
            ey=st.sampled_from([-100, 0, 100]))
     def test_margin_scales_with_x_only(self, kind, xy, ex, ey):
         x, y = (np.array(v) for v in xy)
-        spec = _spec(kind, x.size)
+        spec = NormSpec(kind)
         want = 10.0 ** ex * bj_margin(spec, x, y)
         got = bj_margin(spec, 10.0 ** ex * x, 10.0 ** ey * y)
         assert got == pytest.approx(
@@ -173,11 +162,11 @@ class TestMargin:
         x = np.array(xy[0]) * 10.0 ** exponent
         if not x.any() or abs(c) < 1e-3:
             return
-        spec = _spec(kind, x.size)
+        spec = NormSpec(kind)
         assert bj_margin(spec, x, c * x) == pytest.approx(
             -norm_eval(spec, x), rel=1e-12)
 
-    @pytest.mark.parametrize("kind", ["euclidean", "l1", "linf", "weighted"])
+    @pytest.mark.parametrize("kind", ["euclidean", "l1", "linf"])
     def test_batch_matches_rows(self, kind):
         rng = np.random.default_rng(23)
         xs = rng.normal(size=(64, 4)) * rng.uniform(0.1, 9.0, size=(64, 1))
@@ -187,7 +176,7 @@ class TestMargin:
         xs[::7, 0] = xs[::7, 3]
         ys[::11] = 2.0 * xs[::11]
         ys[::13] = 0.0
-        spec = _spec(kind, 4)
+        spec = NormSpec(kind)
         batch = _bj_margins(spec, xs, ys)
         assert batch.shape == (64,)
         assert batch.tolist() == [bj_margin(spec, x, y)
@@ -226,10 +215,9 @@ class TestPredicates:
         (trivial_relation(), False),
         (inner_product_relation(), False),
         (birkhoff_james_relation("l2"), False),
-        (birkhoff_james_relation(NormSpec.weighted([1.0, 2.0])), False),
         (birkhoff_james_relation("l1"), True),
         (birkhoff_james_relation("linf"), True),
-    ], ids=["trivial", "inner", "bj:l2", "bj:weighted", "bj:l1", "bj:linf"])
+    ], ids=["trivial", "inner", "bj:l2", "bj:l1", "bj:linf"])
     def test_polyhedral_decides_symmetry(self, rel, polyhedral):
         assert rel.polyhedral is polyhedral
         assert rel.is_symmetric is not polyhedral
@@ -261,16 +249,12 @@ class TestUnitPerp:
             unit_perp([2.0])
 
 
-# relation name -> the relation in a given dimension
 SPLIT_RELATIONS = {
-    "trivial": lambda dim: trivial_relation(),
-    "inner": lambda dim: inner_product_relation(),
-    "bj:l2": lambda dim: birkhoff_james_relation(),
-    "bj:weighted": lambda dim: birkhoff_james_relation(
-        NormSpec.weighted(np.linspace(0.5, 3.0, dim))),
-    "bj:l1": lambda dim: symmetrize_relation(birkhoff_james_relation("l1")),
-    "bj:linf": lambda dim: symmetrize_relation(
-        birkhoff_james_relation("linf")),
+    "trivial": trivial_relation(),
+    "inner": inner_product_relation(),
+    "bj:l2": birkhoff_james_relation(),
+    "bj:l1": symmetrize_relation(birkhoff_james_relation("l1")),
+    "bj:linf": symmetrize_relation(birkhoff_james_relation("linf")),
 }
 
 
@@ -280,16 +264,9 @@ def one_point_closed_form_split(rel, x, lam):
     j = int(np.argmin(np.abs(x)))
     e = np.zeros_like(x)
     e[j] = 1.0
-    if rel.kind == "birkhoff_james" and rel.norm.kind == "weighted":
-        w = np.asarray(rel.norm.weights)
-        v = e - (w[j] * x[j] / float(np.sum(w * x * x))) * x
-        u = v / math.sqrt(float(np.sum(w * v * v)))
-        nx = norm_eval(rel.norm, x)
-    else:
-        v = e - (x[j] / float(x @ x)) * x
-        u = v / math.sqrt(float(v @ v))
-        nx = math.sqrt(float(x @ x))
-    return math.sqrt(lam) * nx * u
+    v = e - (x[j] / float(x @ x)) * x
+    u = v / math.sqrt(float(v @ v))
+    return math.sqrt(lam) * math.sqrt(float(x @ x)) * u
 
 
 def split_points(dim, seed, count=24):
@@ -344,15 +321,6 @@ class TestThalesian:
                 1.0 + np.linalg.norm(x + y0) * max(
                     np.linalg.norm(lam * x - y0), 1.0))
 
-    def test_weighted_bj_closed_form(self):
-        rel = birkhoff_james_relation(NormSpec.weighted([1.0, 3.0, 0.5]))
-        x = np.array([2.0, 1.0, -1.0])
-        y0 = thalesian_solve(rel, x, 2.0)
-        w = np.array([1.0, 3.0, 0.5])
-        assert abs(float(np.sum(w * x * y0))) < 1e-9
-        lhs, rhs = x + y0, 2.0 * x - y0
-        assert abs(float(np.sum(w * lhs * rhs))) < 1e-8
-
     def test_l1_search(self):
         rel = birkhoff_james_relation(NormSpec.l1())
         rng = np.random.default_rng(17)
@@ -368,7 +336,7 @@ class TestThalesian:
     @pytest.mark.parametrize("dim", [2, 3, 5, 8])
     @pytest.mark.parametrize("lam", [0.0, 1.0, 2.7])
     def test_batch_equals_rows_bit_for_bit(self, name, dim, lam):
-        rel = SPLIT_RELATIONS[name](dim)
+        rel = SPLIT_RELATIONS[name]
         xs = split_points(dim, seed=dim)
         batch = thalesian_solve(rel, xs, lam)
         rows = np.array([thalesian_solve(rel, x, lam) for x in xs])
@@ -382,7 +350,7 @@ class TestThalesian:
     @pytest.mark.parametrize("name", SPLIT_RELATIONS)
     @pytest.mark.parametrize("dim", [2, 3, 5, 8])
     def test_per_row_lam_equals_scalar_calls(self, name, dim):
-        rel = SPLIT_RELATIONS[name](dim)
+        rel = SPLIT_RELATIONS[name]
         xs = split_points(dim, seed=dim + 1)
         lams = np.random.default_rng(dim).uniform(0.0, 10.0, size=len(xs))
         lams[::4] = 0.0
@@ -572,8 +540,8 @@ class TestPairSampling:
     @pytest.mark.parametrize("rel", [trivial_relation(),
                                      inner_product_relation(),
                                      birkhoff_james_relation(),
-                                     birkhoff_james_relation(
-                                         NormSpec.weighted([2.0, 1.0, 1.0]))])
+                                     symmetrize_relation(
+                                         birkhoff_james_relation("linf"))])
     def test_pairs_are_orthogonal(self, rel):
         pairs = sample_orthogonal_pairs(rel, 3, 40, seed=2)
         assert pairs.shape == (40, 2, 3)
@@ -599,3 +567,19 @@ class TestPairSampling:
                                         radius=2.0, seed=0)
         norms = np.linalg.norm(pairs.reshape(-1, 3), axis=1)
         assert np.max(norms) <= 2.0 + 1e-9
+
+
+class TestDescriptor:
+    # the five relations a command builds, and the symmetric closures
+    # that report runs on the polyhedral ones
+    @pytest.mark.parametrize("name, closed", [
+        *((name, False) for name in cli._RELATIONS),
+        ("bj:l1", True), ("bj:linf", True)])
+    def test_rebuilds_the_relation(self, name, closed):
+        rel = cli._build_relation(name)
+        if closed:
+            rel = symmetrize_relation(rel)
+        d = json.loads(json.dumps(relation_descriptor(rel)))
+        norm = NormSpec(d.get("norm", "euclidean"))
+        assert OrthoRelation(d["kind"], norm, d["tol"],
+                             d["symmetrized"]) == rel

@@ -14,7 +14,7 @@ from orthostab.funcspace import (EvaluationError, MapHandle, SampleGrid,
                                  make_grid, map_scale, map_sum, sup_distance,
                                  zero_map)
 from orthostab import cli, funcspace, stability
-from orthostab.orthogonality import (NormSpec, ThalesianNotFoundError,
+from orthostab.orthogonality import (ThalesianNotFoundError,
                                      birkhoff_james_relation,
                                      inner_product_relation,
                                      symmetrize_relation, thalesian_solve,
@@ -469,16 +469,12 @@ def per_point_joint_even_doubling(rel, Fe, Ge, pts):
     return np.array(rows)
 
 
-# relation name -> the relation in a given dimension
 SPLIT_RELATIONS = {
-    "trivial": lambda dim: trivial_relation(),
-    "inner": lambda dim: inner_product_relation(),
-    "bj:l2": lambda dim: birkhoff_james_relation(),
-    "bj:weighted": lambda dim: birkhoff_james_relation(
-        NormSpec.weighted(np.linspace(0.5, 3.0, dim))),
-    "bj:l1": lambda dim: symmetrize_relation(birkhoff_james_relation("l1")),
-    "bj:linf": lambda dim: symmetrize_relation(
-        birkhoff_james_relation("linf")),
+    "trivial": trivial_relation(),
+    "inner": inner_product_relation(),
+    "bj:l2": birkhoff_james_relation(),
+    "bj:l1": symmetrize_relation(birkhoff_james_relation("l1")),
+    "bj:linf": symmetrize_relation(birkhoff_james_relation("linf")),
 }
 
 
@@ -487,7 +483,7 @@ class TestJointEvenDoubling:
     @pytest.mark.parametrize("dim", [3, 5])
     @pytest.mark.parametrize("delta", [0.0, 0.01])
     def test_batch_equals_per_point_loop(self, name, dim, delta):
-        rel = SPLIT_RELATIONS[name](dim)
+        rel = SPLIT_RELATIONS[name]
         gt = random_ground_truth(dim, delta=delta, seed=dim)
         parts = derive_normalized_parts(*compose_pexider_instance(gt))
         pts = make_grid(dim, 64, 8.0, seed=dim).points[1:]
@@ -540,7 +536,7 @@ class TestSlotPass:
     @pytest.mark.parametrize("kind", ["main", "cauchy", "quadratic"])
     @pytest.mark.parametrize("delta", [0.0, 0.01])
     def test_residuals_equal_the_references(self, name, kind, delta):
-        rel = SPLIT_RELATIONS[name](3)
+        rel = SPLIT_RELATIONS[name]
         gt = random_ground_truth(3, delta=delta, seed=5)
         if kind == "main":
             quad = compose_pexider_instance(gt)
