@@ -16,7 +16,7 @@ measurement pipeline, and a command-line interface.
 """
 
 from .orthogonality import (DEFAULT_TOL, AxiomReport, DimensionMismatchError,
-                            NormSpec, OrthoRelation, PairGenerationError,
+                            OrthoRelation, PairGenerationError,
                             ThalesianNotFoundError, birkhoff_james_relation,
                             bj_margin, check_axioms, inner_product_relation,
                             is_orthogonal, norm_eval,
@@ -25,8 +25,7 @@ from .orthogonality import (DEFAULT_TOL, AxiomReport, DimensionMismatchError,
 from .funcspace import (INFINITE, EvaluationError, MapHandle, SampleGrid,
                         even_part, make_grid, map_scale, map_sum, odd_part,
                         shift_to_zero, sup_distance, sup_norm, zero_map)
-from .fixedpoint import (IterationResult, ScalingOperator, apriori_bound,
-                         iterate)
+from .fixedpoint import IterationResult, apriori_bound, iterate
 from .perturb import (GroundTruth, compose_cauchy_instance,
                       compose_pexider_instance, compose_quadratic_instance,
                       make_additive, make_bounded_noise, make_cubic_growth,

@@ -9,7 +9,7 @@ Picard iterate J^n phi only ever needs phi's values on 2^n times the
 grid, so the iteration walks outward through doubled copies of the
 base points instead of ever composing callables n levels deep.
 
-``iterate_lockstep`` advances several (operator, phi0) pairs together
+``iterate_lockstep`` advances several (lam, phi0) pairs together
 over one grid.  Each step evaluates every run still on the ladder once,
 on one shared point array, so a leaf map that several phi0 share (both
 parities of one noise map, the quadratic part of f and of g) is
@@ -62,7 +62,6 @@ from .funcspace import (DEFAULT_CAP, INFINITE, EvaluationError, MapHandle,
 from .orthogonality import row_sums
 
 __all__ = [
-    "ScalingOperator",
     "IterationResult",
     "iterate",
     "iterate_lockstep",
@@ -72,17 +71,6 @@ __all__ = [
 # the most rows a block of ladder levels holds: a level of a larger grid
 # is a block of its own
 ROW_BUDGET = 4096
-
-
-@dataclass(frozen=True)
-class ScalingOperator:
-    """(J phi)(x) = lam * phi(2x), contraction factor lam."""
-
-    lam: float
-
-    def __post_init__(self):
-        if not (0.0 < self.lam < 1.0):
-            raise ValueError("lam must lie in (0, 1)")
 
 
 @dataclass
@@ -105,9 +93,10 @@ class IterationResult:
     raw_gaps: list
 
 
-def iterate(op: ScalingOperator, phi0: MapHandle, grid: SampleGrid,
+def iterate(lam: float, phi0: MapHandle, grid: SampleGrid,
             tol: float = 1e-10, n_max: int = 40) -> IterationResult:
-    """Run the Picard iteration of op from phi0 over the grid.
+    """Run the Picard iteration of (J phi)(x) = lam * phi(2x) from phi0
+    over the grid, for lam in (0, 1).
 
     The consecutive gap at level n is lam^n * c_n with
     c_n = sup over 2^n-scaled grid of ||phi0(u) - lam * phi0(2u)||;
@@ -116,16 +105,16 @@ def iterate(op: ScalingOperator, phi0: MapHandle, grid: SampleGrid,
     at level 0, otherwise the handle x -> lam^n * phi0(2^n x) with
     phi0's parity, which is the numerically converged iterate.
     """
-    (out,) = iterate_lockstep([(op, phi0)], grid, tol=tol, n_max=n_max)
+    (out,) = iterate_lockstep([(lam, phi0)], grid, tol=tol, n_max=n_max)
     if isinstance(out, Exception):
         raise out
     return out
 
 
-def iterate_lockstep(runs: Sequence[tuple[ScalingOperator, MapHandle]],
+def iterate_lockstep(runs: Sequence[tuple[float, MapHandle]],
                      grid: SampleGrid, tol: float = 1e-10,
                      n_max: int = 40) -> list:
-    """Run the Picard iterations of several (op, phi0) pairs in lockstep.
+    """Run the Picard iterations of several (lam, phi0) pairs in lockstep.
 
     Each run goes through exactly the steps ``iterate`` describes, with
     the same arithmetic, so its result depends neither on the other
@@ -139,6 +128,8 @@ def iterate_lockstep(runs: Sequence[tuple[ScalingOperator, MapHandle]],
         raise ValueError("tol must be positive and finite")
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
+    if not all(0.0 < lam < 1.0 for lam, _ in runs):
+        raise ValueError("lam must lie in (0, 1)")
 
     pts = grid.points
     rows = len(pts)
@@ -174,7 +165,7 @@ def iterate_lockstep(runs: Sequence[tuple[ScalingOperator, MapHandle]],
         # own reaches it
         k = 1 if n == 0 or n < single_to else min(
             budget, n_max + 1 - n, max(1, 1023 - n),
-            *(_levels_to_stop(gaps[i], runs[i][0].lam, tol) for i in going))
+            *(_levels_to_stop(gaps[i], runs[i][0], tol) for i in going))
         factors = [2.0 ** m for m in range(n + 1, n + k + 1)]
         vals, errs = {}, {}
         with evaluation_scope() if n else nullcontext():
@@ -192,7 +183,7 @@ def iterate_lockstep(runs: Sequence[tuple[ScalingOperator, MapHandle]],
         for i, err in errs.items():
             outcome[i] = err
         for i, v in vals.items():
-            lam = runs[i][0].lam
+            lam = runs[i][0]
             m = k if np.isfinite(v).all() else int(
                 np.isfinite(v).all(axis=(1, 2)).argmin())
             # cur - lam * nxt on each finite level, as the levels come
@@ -226,11 +217,11 @@ def iterate_lockstep(runs: Sequence[tuple[ScalingOperator, MapHandle]],
                     a = a.copy()
                 hand_over(phi0, scaled_points(c, pts), a)
     results = []
-    for (op, phi0), out, c, stop in zip(runs, outcome, raw_c, n_stop):
+    for (lam, phi0), out, c, stop in zip(runs, outcome, raw_c, n_stop):
         if out is None:
             out = "iteration-budget-exhausted"
         results.append(out if isinstance(out, Exception)
-                       else _result(op, phi0, c, out, stop, n_max))
+                       else _result(lam, phi0, c, out, stop, n_max))
     return results
 
 
@@ -244,9 +235,8 @@ def _levels_to_stop(gaps: list, lam: float, tol: float) -> int:
     return math.ceil(far) if 0.0 < far < math.inf else 1
 
 
-def _result(op: ScalingOperator, phi0: MapHandle, raw_c: list,
+def _result(lam: float, phi0: MapHandle, raw_c: list,
             verdict: str, n_stop: int, n_max: int) -> IterationResult:
-    lam = op.lam
     # suffix maxima turn consecutive gaps into distances to the final
     # iterate over the doubled sample set; lam^n scaling is exact for
     # power-of-two lam, so the geometric-decay invariant holds exactly

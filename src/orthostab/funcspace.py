@@ -292,6 +292,23 @@ def shift_to_zero(f: MapHandle, label: str = "") -> MapHandle:
     return map_sum(f, const, label=label or f"{f.label}-f(0)")
 
 
+def _parity_part(f: MapHandle, parity: str, combine) -> MapHandle:
+    # x -> combine(f(x), f(-x)) / 2, structural when the tags allow: f
+    # itself if it has this parity, the zero map if it has the other
+    if f._is_zero or f.parity == parity:
+        return f
+    if f.parity is not None:
+        return zero_map(f.source_dim, f.target_dim)
+    label = f"{parity}({f.label})"
+    if f.terms is not None:
+        return map_sum(*[_parity_part(t, parity, combine) for t in f.terms],
+                       label=label)
+    return MapHandle(lambda pts, _f=f, _c=combine:
+                     0.5 * _c(_f(pts), _f(scaled_points(-1.0, pts))),
+                     f.source_dim, f.target_dim, label=label, parity=parity,
+                     _derived=True)
+
+
 def even_part(f: MapHandle) -> MapHandle:
     """The even projection x -> (f(x) + f(-x))/2.
 
@@ -299,37 +316,17 @@ def even_part(f: MapHandle) -> MapHandle:
     an even map is returned unchanged (same object), an odd map
     collapses to the zero map.
     """
-    if f._is_zero or f.parity == "even":
-        return f
-    if f.parity == "odd":
-        return zero_map(f.source_dim, f.target_dim)
-    if f.terms is not None:
-        return map_sum(*[even_part(t) for t in f.terms],
-                       label=f"even({f.label})")
-    return MapHandle(lambda pts, _f=f:
-                     0.5 * (_f(pts) + _f(scaled_points(-1.0, pts))),
-                     f.source_dim, f.target_dim,
-                     label=f"even({f.label})", parity="even", _derived=True)
+    return _parity_part(f, "even", np.add)
 
 
 def odd_part(f: MapHandle) -> MapHandle:
     """The odd projection x -> (f(x) - f(-x))/2; structural when possible."""
-    if f._is_zero or f.parity == "odd":
-        return f
-    if f.parity == "even":
-        return zero_map(f.source_dim, f.target_dim)
-    if f.terms is not None:
-        return map_sum(*[odd_part(t) for t in f.terms],
-                       label=f"odd({f.label})")
-    return MapHandle(lambda pts, _f=f:
-                     0.5 * (_f(pts) - _f(scaled_points(-1.0, pts))),
-                     f.source_dim, f.target_dim,
-                     label=f"odd({f.label})", parity="odd", _derived=True)
+    return _parity_part(f, "odd", np.subtract)
 
 
 @dataclass(frozen=True)
 class SampleGrid:
-    """A finite stand-in for the domain: sample points plus provenance.
+    """A finite stand-in for the domain: its sample points.
 
     Row 0 is always the origin; measurement code relies on that.  The
     points are a read-only copy: evaluation scopes key on the array
@@ -337,8 +334,6 @@ class SampleGrid:
     """
 
     points: np.ndarray
-    seed: int
-    radius: float
 
     def __post_init__(self):
         pts = np.array(self.points, dtype=float)
@@ -370,8 +365,7 @@ def make_grid(dim: int, count: int = 256, radius: float = 8.0,
     dirs = rng.normal(size=(count, dim))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     radii = radius * (0.1 + 0.9 * np.linspace(0.0, 1.0, count))
-    return SampleGrid(np.vstack([np.zeros((1, dim)), dirs * radii[:, None]]),
-                      seed, radius)
+    return SampleGrid(np.vstack([np.zeros((1, dim)), dirs * radii[:, None]]))
 
 
 def _resolve_points(grid) -> np.ndarray:

@@ -43,7 +43,6 @@ __all__ = [
     "DimensionMismatchError",
     "ThalesianNotFoundError",
     "PairGenerationError",
-    "NormSpec",
     "OrthoRelation",
     "AxiomCheck",
     "AxiomReport",
@@ -64,7 +63,10 @@ __all__ = [
 
 DEFAULT_TOL = 1e-9
 
-_NORM_KINDS = ("euclidean", "l1", "linf")
+# the norm names birkhoff_james_relation reads, by the norm they name;
+# OrthoRelation takes the names on the right
+_NORM_NAMES = {"l2": "euclidean", "euclidean": "euclidean", "l1": "l1",
+               "linf": "linf", "max": "linf"}
 _RELATION_KINDS = ("trivial", "inner_product", "birkhoff_james")
 # floats per block of a row-batched temporary (2 MB each): the l1/linf
 # split's slopes, and the sampler's (rows, dim, dim) minors and margins
@@ -105,44 +107,24 @@ def as_point(x) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
-class NormSpec:
-    """A norm on R^n: euclidean, l1 or linf."""
-
-    kind: str = "euclidean"
-
-    def __post_init__(self):
-        if self.kind not in _NORM_KINDS:
-            raise ValueError(f"unknown norm kind {self.kind!r}")
-
-    @classmethod
-    def euclidean(cls) -> "NormSpec":
-        return cls("euclidean")
-
-    @classmethod
-    def l1(cls) -> "NormSpec":
-        return cls("l1")
-
-    @classmethod
-    def linf(cls) -> "NormSpec":
-        return cls("linf")
-
-
-def norm_eval(spec: NormSpec, x) -> float | np.ndarray:
-    """Evaluate the norm along the last axis; scalar out for 1-D input."""
+def norm_eval(norm: str, x) -> float | np.ndarray:
+    """Evaluate the named norm along the last axis; scalar out for 1-D
+    input.  Raises ValueError for a name not in euclidean, l1, linf."""
     arr = np.asarray(x, dtype=float)
-    if spec.kind == "euclidean":
+    if norm == "euclidean":
         out = np.sqrt(row_sums(arr * arr))
-    elif spec.kind == "l1":
+    elif norm == "l1":
         out = row_sums(np.abs(arr))
-    else:
+    elif norm == "linf":
         out = np.max(np.abs(arr), axis=-1)
+    else:
+        raise ValueError(f"unknown norm {norm!r}")
     if out.ndim == 0:
         return float(out)
     return out
 
 
-def _bj_margins(spec: NormSpec, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+def _bj_margins(norm: str, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """Exact min over t of ||x + t*y|| - ||x|| for paired rows of xs, ys.
 
     Both rows are first scaled to unit norm (the margin is homogeneous
@@ -161,21 +143,21 @@ def _bj_margins(spec: NormSpec, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
 
     Rows with x = 0 or y = 0 get margin 0 by convention.
     """
-    nx = np.atleast_1d(norm_eval(spec, xs))
-    ny = np.atleast_1d(norm_eval(spec, ys))
+    nx = np.atleast_1d(norm_eval(norm, xs))
+    ny = np.atleast_1d(norm_eval(norm, ys))
     out = np.zeros(nx.shape)
     live = (nx > 0.0) & (ny > 0.0)
     if not live.any():
         return out
     x = xs[live] / nx[live, None]
     y = ys[live] / ny[live, None]
-    if spec.kind == "euclidean":
+    if norm == "euclidean":
         c = row_sums(x * y)
         # ||x - c*y|| - 1 = -c^2 / (1 + ||x - c*y||), accurate whether y
         # is nearly orthogonal or nearly parallel to x
-        r = np.atleast_1d(norm_eval(spec, x - c[:, None] * y))
+        r = np.atleast_1d(norm_eval(norm, x - c[:, None] * y))
         m = -c * c / (1.0 + r)
-    elif spec.kind == "l1":
+    elif norm == "l1":
         with np.errstate(divide="ignore", invalid="ignore"):
             t = -x / y
         # y_i = 0 and out-of-bracket breakpoints fall back to t = 0
@@ -194,8 +176,8 @@ def _bj_margins(spec: NormSpec, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     return out
 
 
-def bj_margin(spec: NormSpec, x, y) -> float:
-    """min over t of ||x + t*y|| - ||x|| in the given norm.
+def bj_margin(norm: str, x, y) -> float:
+    """min over t of ||x + t*y|| - ||x|| in the named norm.
 
     Zero exactly when x is Birkhoff-James orthogonal to y, negative
     otherwise (t = 0 shows the margin can never be positive).  Computed
@@ -206,34 +188,36 @@ def bj_margin(spec: NormSpec, x, y) -> float:
     y = as_point(y)
     if x.shape != y.shape:
         raise DimensionMismatchError("margin arguments differ in dimension")
-    return float(_bj_margins(spec, x[None, :], y[None, :])[0])
+    return float(_bj_margins(norm, x[None, :], y[None, :])[0])
 
 
 @dataclass(frozen=True)
 class OrthoRelation:
     """A binary orthogonality relation with a decision tolerance.
 
-    ``norm`` is consulted only by the birkhoff_james kind.  When
-    ``symmetrized`` is set the predicate is the symmetric closure:
-    x _|_ y holds if either order passes the directed test.
+    ``norm`` names the norm, ``"euclidean"``, ``"l1"`` or ``"linf"``;
+    only the birkhoff_james kind consults it.  When ``symmetrized`` is
+    set the predicate is the symmetric closure: x _|_ y holds if either
+    order passes the directed test.
     """
 
     kind: str
-    norm: NormSpec = NormSpec()
+    norm: str = "euclidean"
     tol: float = DEFAULT_TOL
     symmetrized: bool = False
 
     def __post_init__(self):
         if self.kind not in _RELATION_KINDS:
             raise ValueError(f"unknown relation kind {self.kind!r}")
+        if self.norm not in _NORM_NAMES.values():
+            raise ValueError(f"unknown norm {self.norm!r}")
         if not (self.tol > 0.0 and math.isfinite(self.tol)):
             raise ValueError("tol must be positive and finite")
 
     @property
     def polyhedral(self) -> bool:
         """Birkhoff-James orthogonality of the l1 or the linf norm."""
-        return (self.kind == "birkhoff_james"
-                and self.norm.kind in ("l1", "linf"))
+        return self.kind == "birkhoff_james" and self.norm != "euclidean"
 
     @property
     def is_symmetric(self) -> bool:
@@ -242,27 +226,20 @@ class OrthoRelation:
 
 
 def trivial_relation(tol: float = DEFAULT_TOL) -> OrthoRelation:
-    return OrthoRelation("trivial", NormSpec.euclidean(), tol)
+    return OrthoRelation("trivial", tol=tol)
 
 
 def inner_product_relation(tol: float = DEFAULT_TOL) -> OrthoRelation:
-    return OrthoRelation("inner_product", NormSpec.euclidean(), tol)
+    return OrthoRelation("inner_product", tol=tol)
 
 
-def birkhoff_james_relation(norm: NormSpec | str | None = None,
+def birkhoff_james_relation(norm: str = "euclidean",
                             tol: float = DEFAULT_TOL) -> OrthoRelation:
-    """Directed norm orthogonality; ``norm`` may be a shorthand string."""
-    if isinstance(norm, str):
-        name = norm.lower()
-        if name in ("l2", "euclidean"):
-            norm = NormSpec.euclidean()
-        elif name == "l1":
-            norm = NormSpec.l1()
-        elif name in ("linf", "max"):
-            norm = NormSpec.linf()
-        else:
-            raise ValueError(f"unknown norm shorthand {norm!r}")
-    return OrthoRelation("birkhoff_james", norm or NormSpec.euclidean(), tol)
+    """Directed norm orthogonality; ``norm`` may be a shorthand name."""
+    name = _NORM_NAMES.get(norm.lower())
+    if name is None:
+        raise ValueError(f"unknown norm shorthand {norm!r}")
+    return OrthoRelation("birkhoff_james", name, tol)
 
 
 def symmetrize_relation(rel: OrthoRelation) -> OrthoRelation:
@@ -389,9 +366,9 @@ def unit_perp(x) -> np.ndarray:
     return v[0] if single else v
 
 
-def _norming_functional(spec: NormSpec, xs: np.ndarray) -> np.ndarray:
+def _norming_functional(norm: str, xs: np.ndarray) -> np.ndarray:
     # row-wise functionals of dual norm 1 with phi(x) = ||x|| (l1 or linf)
-    if spec.kind == "l1":
+    if norm == "l1":
         return np.sign(xs)
     top = np.argmax(np.abs(xs), axis=1)[:, None]
     return np.where(np.arange(xs.shape[1]) == top, np.sign(xs), 0.0)
@@ -400,14 +377,6 @@ def _norming_functional(spec: NormSpec, xs: np.ndarray) -> np.ndarray:
 def _kernel_part(phi: np.ndarray, us: np.ndarray) -> np.ndarray:
     # row-wise euclidean projection of us onto the kernel of phi
     return us - (_row_dots(us, phi) / _row_dots(phi, phi))[:, None] * phi
-
-
-def _closed_form_split(rel: OrthoRelation, x: np.ndarray,
-                       lam: np.ndarray) -> np.ndarray:
-    # trivial, inner product and euclidean Birkhoff-James, row by row:
-    # y0 is a perpendicular scaled so that
-    # <x + y0, lam*x - y0> = lam|x|^2 - |y0|^2 = 0
-    return (np.sqrt(lam) * np.sqrt(_row_dots(x, x)))[:, None] * unit_perp(x)
 
 
 def thalesian_solve(rel: OrthoRelation, x, lam) -> np.ndarray:
@@ -457,7 +426,12 @@ def thalesian_solve(rel: OrthoRelation, x, lam) -> np.ndarray:
     out = np.zeros_like(rows)
     live = lams > 0.0
     if not rel.polyhedral:
-        out[live] = _closed_form_split(rel, rows[live], lams[live])
+        # trivial, inner product and euclidean Birkhoff-James, row by
+        # row: y0 is a perpendicular scaled so that
+        # <x + y0, lam*x - y0> = lam|x|^2 - |y0|^2 = 0
+        xs = rows[live]
+        scale = np.sqrt(lams[live]) * np.sqrt(_row_dots(xs, xs))
+        out[live] = scale[:, None] * unit_perp(xs)
     else:
         out[live], first, second = _bj_splits(rel, rows[live], lams[live])
         if single and np.isnan(out[0]).any():
@@ -468,7 +442,7 @@ def thalesian_solve(rel: OrthoRelation, x, lam) -> np.ndarray:
     return out[0] if single else out
 
 
-def _split_scales(spec: NormSpec, x: np.ndarray, y: np.ndarray,
+def _split_scales(norm: str, x: np.ndarray, y: np.ndarray,
                   lam: np.ndarray) -> np.ndarray:
     # sorted candidate scales s of the split s*y, one row per row of x.
     # l1: the breakpoints s = -x_i/y_i, and on the piece right of 0 or of
@@ -479,7 +453,7 @@ def _split_scales(spec: NormSpec, x: np.ndarray, y: np.ndarray,
     # so s*||y|| <= (2 + lam)*||x||; undefined candidates and those past
     # twice that become s = 0, which is no root for lam > 0
     with np.errstate(divide="ignore", invalid="ignore"):
-        if spec.kind == "l1":
+        if norm == "l1":
             r = np.where(y != 0.0, -x / y, np.inf)
             # the sign vector right of 0 and right of each breakpoint
             left = np.concatenate([np.zeros((len(x), 1)), r], axis=1)
@@ -493,7 +467,7 @@ def _split_scales(spec: NormSpec, x: np.ndarray, y: np.ndarray,
             s = np.concatenate([-(x[:, i] - x[:, j]) / (y[:, i] - y[:, j]),
                                 -(x[:, i] + x[:, j]) / (y[:, i] + y[:, j]),
                                 lam[:, None] * x / y], axis=1)
-        cap = 2.0 * (2.0 + lam) * norm_eval(spec, x) / norm_eval(spec, y)
+        cap = 2.0 * (2.0 + lam) * norm_eval(norm, x) / norm_eval(norm, y)
     return np.sort(np.where((s > 0.0) & (s <= cap[:, None]), s, 0.0), axis=1)
 
 
@@ -517,7 +491,7 @@ def _bj_splits(rel: OrthoRelation, x: np.ndarray, lam: np.ndarray):
     for r in (slice(i, i + step) for i in range(0, len(x), step)):
         a = x[r, None] + s[r, :, None] * y_dir[r, None]
         b = lam[r, None, None] * x[r, None] - s[r, :, None] * y_dir[r, None]
-        if rel.norm.kind == "l1":
+        if rel.norm == "l1":
             down = np.sum(np.sign(a) * b - np.where(a == 0.0, np.abs(b), 0.0),
                           axis=2)
         else:
@@ -876,5 +850,5 @@ def relation_descriptor(rel: OrthoRelation) -> dict:
     d: dict = {"kind": rel.kind, "tol": rel.tol,
                "symmetrized": rel.symmetrized}
     if rel.kind == "birkhoff_james":
-        d["norm"] = rel.norm.kind
+        d["norm"] = rel.norm
     return d

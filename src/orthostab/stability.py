@@ -56,8 +56,8 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .fixedpoint import (IterationResult, ScalingOperator, apriori_bound,
-                         iterate, iterate_lockstep)
+from .fixedpoint import (IterationResult, apriori_bound, iterate,
+                         iterate_lockstep)
 from .funcspace import (DEFAULT_CAP, EvaluationError, MapHandle, SampleGrid,
                         evaluation_scope, even_part, make_grid, map_scale,
                         map_sum, odd_part, scaled_points, shift_to_zero,
@@ -327,14 +327,14 @@ def derive_normalized_parts(f: MapHandle, g: MapHandle, h: MapHandle,
 def extract_odd(phi: MapHandle, grid: SampleGrid, tol: float = 1e-10,
                 n_max: int = 40):
     """Additive extraction: Picard limit under phi -> phi(2x)/2."""
-    res = iterate(ScalingOperator(0.5), phi, grid, tol=tol, n_max=n_max)
+    res = iterate(0.5, phi, grid, tol=tol, n_max=n_max)
     return res.limit, res
 
 
 def extract_even(phi: MapHandle, grid: SampleGrid, tol: float = 1e-10,
                  n_max: int = 40):
     """Quadratic extraction: Picard limit under phi -> phi(2x)/4."""
-    res = iterate(ScalingOperator(0.25), phi, grid, tol=tol, n_max=n_max)
+    res = iterate(0.25, phi, grid, tol=tol, n_max=n_max)
     return res.limit, res
 
 
@@ -537,7 +537,7 @@ def _run_pipeline(rel: OrthoRelation, f: MapHandle, g: MapHandle,
         extractions = (("R", parts.Fo, 0.5), ("R_prime", parts.Go, 0.5),
                        ("S", parts.Fe, 0.25), ("S_prime", parts.Ge, 0.25))
         outcomes = iterate_lockstep(
-            [(ScalingOperator(lam), phi) for _, phi, lam in extractions],
+            [(lam, phi) for _, phi, lam in extractions],
             grid, tol=cfg.tol, n_max=cfg.n_max)
         for (name, _, _), res in zip(extractions, outcomes):
             if isinstance(res, Exception):

@@ -6,8 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from orthostab.fixedpoint import (IterationResult, ScalingOperator,
-                                  apriori_bound, iterate, iterate_lockstep)
+from orthostab.fixedpoint import (IterationResult, apriori_bound, iterate,
+                                  iterate_lockstep)
 from orthostab import funcspace
 from orthostab.funcspace import (INFINITE, EvaluationError, MapHandle,
                                  evaluation_scope, even_part, make_grid,
@@ -41,7 +41,7 @@ def noisy_even(delta=1e-2, seed=3):
     return map_sum(p, n)
 
 
-def reference_apply(op, phi):
+def reference_apply(lam, phi):
     """J phi = lam * phi(2x) as a map handle, distributed over phi's
     summands as the package's operator handle did before the a-priori
     bound was read off the ladder; for power-of-two lam it agrees
@@ -49,9 +49,9 @@ def reference_apply(op, phi):
     if phi.is_zero_map:
         return phi
     if phi.terms is not None:
-        return map_sum(*[reference_apply(op, t) for t in phi.terms],
+        return map_sum(*[reference_apply(lam, t) for t in phi.terms],
                        label=f"J[{phi.label}]")
-    return MapHandle(lambda pts, _f=phi, _l=op.lam:
+    return MapHandle(lambda pts, _f=phi, _l=lam:
                      _l * _f(scaled_points(2.0, pts)),
                      phi.source_dim, phi.target_dim,
                      label=f"J[{phi.label}]", parity=phi.parity,
@@ -59,18 +59,24 @@ def reference_apply(op, phi):
 
 
 class TestOperator:
-    def test_lam_range(self):
-        with pytest.raises(ValueError):
-            ScalingOperator(0.0)
-        with pytest.raises(ValueError):
-            ScalingOperator(1.0)
+    def test_lam_range(self, grid):
+        # lam is checked before any phi0 is evaluated
+        def never(p):
+            raise AssertionError("phi0 was evaluated")
+
+        phi0 = MapHandle(never, 3, 3)
+        for lam in (0.0, 1.0, 1.5, -0.5, math.nan):
+            with pytest.raises(ValueError, match=r"lam must lie in \(0, 1\)"):
+                iterate(lam, phi0, grid)
+            with pytest.raises(ValueError, match=r"lam must lie in \(0, 1\)"):
+                iterate_lockstep([(0.5, phi0), (lam, phi0)], grid)
 
 
 class TestExactFixedPoints:
     def test_additive_fixed_under_half(self, grid):
         a = make_additive(np.array([[1.0, 2.0, 0.0], [0.5, 0.0, 1.0],
                                     [0.0, 0.3, 0.7]]))
-        res = iterate(ScalingOperator(0.5), a, grid)
+        res = iterate(0.5, a, grid)
         assert res.verdict == "converged"
         assert res.n_steps == 0
         assert res.limit is a
@@ -79,7 +85,7 @@ class TestExactFixedPoints:
     def test_quadratic_fixed_under_quarter(self, grid):
         p = make_quadratic(np.stack([np.eye(3), 0.5 * np.eye(3)] + [
             np.diag([1.0, 2.0, 3.0])]))
-        res = iterate(ScalingOperator(0.25), p, grid)
+        res = iterate(0.25, p, grid)
         assert res.verdict == "converged"
         assert res.n_steps == 0
         assert res.limit is p
@@ -88,12 +94,12 @@ class TestExactFixedPoints:
 class TestConvergence:
     def test_noisy_converges(self, grid):
         phi = noisy_odd()
-        res = iterate(ScalingOperator(0.5), phi, grid)
+        res = iterate(0.5, phi, grid)
         assert res.verdict == "converged"
         assert res.n_steps > 0
         assert res.limit.parity == "odd"
         # the limit is numerically a fixed point on the base grid
-        j = reference_apply(ScalingOperator(0.5), res.limit)
+        j = reference_apply(0.5, res.limit)
         assert sup_distance(res.limit, j, grid) <= 4e-10
 
     @pytest.mark.parametrize("lam,phi_parity", [(0.5, "odd"),
@@ -103,7 +109,7 @@ class TestConvergence:
         n = make_bounded_noise(5e-3, 11, 3, 3, parity=phi_parity)
         phi = map_sum(a, n) if phi_parity == "odd" else map_sum(
             make_quadratic(np.stack([0.4 * np.eye(3)] * 3)), n)
-        res = iterate(ScalingOperator(lam), phi, grid)
+        res = iterate(lam, phi, grid)
         assert res.verdict == "converged"
         d = res.per_step_distances
         for i in range(len(d)):
@@ -114,7 +120,7 @@ class TestConvergence:
 
     def test_gap_sequence_lengths(self, grid):
         phi = noisy_odd()
-        res = iterate(ScalingOperator(0.5), phi, grid)
+        res = iterate(0.5, phi, grid)
         assert len(res.per_step_distances) == len(res.raw_gaps)
         assert len(res.raw_gaps) == res.n_steps + 1
 
@@ -122,7 +128,7 @@ class TestConvergence:
 class TestDivergence:
     def test_cubic_diverges(self, grid):
         cub = make_cubic_growth(1.0, 3, 3)
-        res = iterate(ScalingOperator(0.25), cub, grid)
+        res = iterate(0.25, cub, grid)
         assert res.verdict == "diverged"
         assert res.limit is None
         # raw gaps double each level: 8x growth against a 1/4 contraction
@@ -133,18 +139,18 @@ class TestDivergence:
 
     def test_cubic_diverges_under_half_too(self, grid):
         cub = make_cubic_growth(1.0, 3, 3)
-        res = iterate(ScalingOperator(0.5), cub, grid)
+        res = iterate(0.5, cub, grid)
         assert res.verdict == "diverged"
 
     def test_budget_exhaustion(self, grid):
         phi = noisy_odd(delta=1e-2)
-        res = iterate(ScalingOperator(0.5), phi, grid, tol=1e-30, n_max=5)
+        res = iterate(0.5, phi, grid, tol=1e-30, n_max=5)
         assert res.verdict == "iteration-budget-exhausted"
         assert res.limit is not None  # best iterate so far is still usable
 
 
 def instance_parts(kind, delta):
-    """(name, op, phi0) for R, R', S and S' of a main, Cauchy or
+    """(name, lam, phi0) for R, R', S and S' of a main, Cauchy or
     quadratic instance, as the pipeline extracts them."""
     gt = random_ground_truth(3, delta=delta, seed=5)
     if kind == "main":
@@ -156,10 +162,10 @@ def instance_parts(kind, delta):
         q = compose_quadratic_instance(gt)
         quad = q, q, map_scale(2.0, q), map_scale(2.0, q)
     parts = derive_normalized_parts(*quad)
-    return [("R", ScalingOperator(0.5), parts.Fo),
-            ("R_prime", ScalingOperator(0.5), parts.Go),
-            ("S", ScalingOperator(0.25), parts.Fe),
-            ("S_prime", ScalingOperator(0.25), parts.Ge)]
+    return [("R", 0.5, parts.Fo),
+            ("R_prime", 0.5, parts.Go),
+            ("S", 0.25, parts.Fe),
+            ("S_prime", 0.25, parts.Ge)]
 
 
 class TestAprioriBound:
@@ -170,22 +176,21 @@ class TestAprioriBound:
             for delta in (0.0, 0.01):
                 for radius in (8.0, 1.5e-153):
                     grid = make_grid(3, 32, radius, seed=1)
-                    for name, op, phi in instance_parts(kind, delta):
-                        res = iterate(op, phi, grid)
-                        want = (sup_distance(phi, reference_apply(op, phi),
-                                             grid) / (1.0 - op.lam))
+                    for name, lam, phi in instance_parts(kind, delta):
+                        res = iterate(lam, phi, grid)
+                        want = (sup_distance(phi, reference_apply(lam, phi),
+                                             grid) / (1.0 - lam))
                         case = (kind, delta, radius, name)
                         assert res.verdict == "converged", case
                         assert apriori_bound(res) == want, case
 
     def test_diverged_at_level_zero(self, grid):
         # the first gap is already past the cap, so the bound is infinite
-        op = ScalingOperator(0.25)
         cub = make_cubic_growth(1e12, 3, 3)
-        res = iterate(op, cub, grid)
+        res = iterate(0.25, cub, grid)
         assert res.verdict == "diverged" and res.n_steps == 0
         assert apriori_bound(res) == INFINITE
-        assert sup_distance(cub, reference_apply(op, cub), grid) == INFINITE
+        assert sup_distance(cub, reference_apply(0.25, cub), grid) == INFINITE
 
     def test_bounds_distance_to_limit(self, grid):
         # the certificate applies to the matched parity class only:
@@ -195,14 +200,13 @@ class TestAprioriBound:
         runs = [(0.5, noisy_odd(seed=0)), (0.5, noisy_odd(seed=5)),
                 (0.25, noisy_even(seed=0)), (0.25, noisy_even(seed=5))]
         for lam, phi in runs:
-            op = ScalingOperator(lam)
-            res = iterate(op, phi, grid)
+            res = iterate(lam, phi, grid)
             assert res.verdict == "converged"
             d = sup_distance(phi, res.limit, grid)
             assert d <= apriori_bound(res) + 1e-10
 
 
-def ref_iterate(op, phi0, grid, tol=1e-10, n_max=40, cap=1e12):
+def ref_iterate(lam, phi0, grid, tol=1e-10, n_max=40, cap=1e12):
     """The one-map Picard loop as it stood before the lockstep ladder."""
     if phi0.value_at_zero.any():
         raise ValueError(
@@ -213,7 +217,6 @@ def ref_iterate(op, phi0, grid, tol=1e-10, n_max=40, cap=1e12):
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
     pts = grid.points
-    lam = op.lam
     raw_c = []
     verdict = "iteration-budget-exhausted"
     n_stop = n_max
@@ -263,16 +266,15 @@ def ref_iterate(op, phi0, grid, tol=1e-10, n_max=40, cap=1e12):
 
 
 def pexider_runs(cubic=None):
-    """(op, phi0) for R, R', S and S' of a noisy pexider instance, whose
+    """(lam, phi0) for R, R', S and S' of a noisy pexider instance, whose
     four phi0 share the leaves a, p and both parities of two noises."""
     f, g, h, k = compose_pexider_instance(
         random_ground_truth(3, delta=0.01, seed=5))
     if cubic is not None:
         f = map_sum(f, make_cubic_growth(cubic, 3, 3))
     parts = derive_normalized_parts(f, g, h, k)
-    return [(ScalingOperator(0.5), parts.Fo), (ScalingOperator(0.5), parts.Go),
-            (ScalingOperator(0.25), parts.Fe),
-            (ScalingOperator(0.25), parts.Ge)]
+    return [(0.5, parts.Fo), (0.5, parts.Go), (0.25, parts.Fe),
+            (0.25, parts.Ge)]
 
 
 def assert_same_result(got, want, grid):
@@ -297,18 +299,18 @@ class TestLockstep:
         (pexider_runs(), {"tol": 1e-30, "n_max": 5},
          ["iteration-budget-exhausted"] * 4),
         (pexider_runs(), {"n_max": 0}, ["iteration-budget-exhausted"] * 4),
-        ([(ScalingOperator(0.5), noisy_odd()),
-          (ScalingOperator(0.25), make_cubic_growth(1.0, 3, 3)),
-          (ScalingOperator(0.25), noisy_even()),
-          (ScalingOperator(0.5), make_additive(np.eye(3)))], {},
+        ([(0.5, noisy_odd()),
+          (0.25, make_cubic_growth(1.0, 3, 3)),
+          (0.25, noisy_even()),
+          (0.5, make_additive(np.eye(3)))], {},
          ["converged", "diverged", "converged", "converged"]),
     ], ids=["converged", "diverged", "budget", "n_max-0", "mixed"])
     def test_equals_one_map_runs(self, grid, runs, kwargs, verdicts):
         together = iterate_lockstep(runs, grid, **kwargs)
         assert [res.verdict for res in together] == verdicts
-        for (op, phi0), res in zip(runs, together):
-            assert_same_result(res, iterate(op, phi0, grid, **kwargs), grid)
-            assert_same_result(res, ref_iterate(op, phi0, grid, **kwargs),
+        for (lam, phi0), res in zip(runs, together):
+            assert_same_result(res, iterate(lam, phi0, grid, **kwargs), grid)
+            assert_same_result(res, ref_iterate(lam, phi0, grid, **kwargs),
                                grid)
 
     def test_failed_run_leaves_the_others_alone(self, grid):
@@ -317,9 +319,9 @@ class TestLockstep:
             lambda p: np.where(np.linalg.norm(p, axis=-1, keepdims=True)
                                > 20.0, np.nan, 0.0 * p), 3, 3, parity="odd")
         unanchored = MapHandle(lambda p: p + 1.0, 3, 3)
-        runs = [(ScalingOperator(0.5), map_sum(noisy_odd(), blowup)),
-                (ScalingOperator(0.5), noisy_odd(seed=4)),
-                (ScalingOperator(0.5), unanchored)]
+        runs = [(0.5, map_sum(noisy_odd(), blowup)),
+                (0.5, noisy_odd(seed=4)),
+                (0.5, unanchored)]
         out = iterate_lockstep(runs, grid)
         assert str(out[0]) == "phi0 is non-finite on the level-2 grid"
         assert_same_result(out[1], ref_iterate(*runs[1], grid), grid)
@@ -340,7 +342,7 @@ class TestLadderInAScope:
     def test_limits_read_no_leaf_after_the_ladder(self, grid, monkeypatch):
         runs = pexider_runs()
         pts = grid.points
-        want = [iterate(op, phi0, grid) for op, phi0 in runs]
+        want = [iterate(lam, phi0, grid) for lam, phi0 in runs]
         want_vals = [(res.limit(pts).tobytes(),
                       res.limit(2.0 * pts).tobytes()) for res in want]
         calls = []
@@ -374,8 +376,8 @@ class TestLadderInAScope:
         runs = pexider_runs()
         got = iterate_lockstep(runs, grid)
         assert funcspace._SCOPE.get() is None
-        for (op, phi0), res in zip(runs, got):
-            assert_same_result(res, ref_iterate(op, phi0, grid), grid)
+        for (lam, phi0), res in zip(runs, got):
+            assert_same_result(res, ref_iterate(lam, phi0, grid), grid)
 
 
 def leaf_log(monkeypatch, rows=None):
@@ -404,17 +406,15 @@ def ladder_runs(dim, seed, general):
     forms = np.zeros((3, dim, dim))
     forms[:, range(dim), range(dim)] = rng.uniform(0.2, 0.8, (3, dim))
     noise = make_bounded_noise(0.01, seed, dim, 3)
-    runs = [(ScalingOperator(0.5),
-             map_sum(make_additive(rng.uniform(-0.6, 0.6, (3, dim))),
-                     odd_part(noise))),
-            (ScalingOperator(0.25),
-             map_sum(make_quadratic(forms), even_part(noise)))]
+    runs = [(0.5, map_sum(make_additive(rng.uniform(-0.6, 0.6, (3, dim))),
+                          odd_part(noise))),
+            (0.25, map_sum(make_quadratic(forms), even_part(noise)))]
     if general:
         b = rng.normal(size=(1, dim, dim))
-        runs += [(ScalingOperator(0.25),
+        runs += [(0.25,
                   map_sum(make_quadratic(b + b.transpose(0, 2, 1)),
                           make_bounded_noise(0.01, seed, dim, 1, "even"))),
-                 (ScalingOperator(0.5),
+                 (0.5,
                   map_sum(make_additive(rng.normal(size=(1, dim))),
                           make_bounded_noise(0.01, seed, dim, 1, "odd")))]
     return runs
@@ -474,13 +474,12 @@ class TestBlockedLadder:
         # the level whose points overflow
         grid = make_grid(3, 24, 8.0, seed=1)
         kwargs = {"tol": 5e-324, "n_max": 1200}
-        run = (ScalingOperator(0.5), MapHandle(np.tanh, 3, 3, parity="odd"))
+        run = (0.5, MapHandle(np.tanh, 3, 3, parity="odd"))
         for climb in (ref_iterate, iterate):
             with pytest.raises(OverflowError), np.errstate(over="ignore"):
                 climb(*run, grid, **kwargs)
-        run = (ScalingOperator(0.5),
-               MapHandle(lambda p: p / (1.0 + np.abs(p)), 3, 3,
-                         parity="odd"))
+        run = (0.5, MapHandle(lambda p: p / (1.0 + np.abs(p)), 3, 3,
+                              parity="odd"))
         with np.errstate(invalid="ignore", over="ignore"):
             (res,) = iterate_lockstep([run], grid, **kwargs)
             assert isinstance(res, EvaluationError)
@@ -504,7 +503,7 @@ class TestBlockedLadder:
         # reaches past 2^31 (tol 1e-300 predicts some 500 levels)
         grid = make_grid(3, rows - 1, 8.0, seed=rows)
         kwargs = {"tol": 1e-300, "n_max": 100}
-        runs = [(ScalingOperator(lam), map_sum(phi, bad))
+        runs = [(lam, map_sum(phi, bad))
                 for lam, phi, limit in ((0.5, noisy_odd(), 2.0 ** 9),
                                         (0.25, noisy_even(), 2.0 ** 31))
                 for bad in (far_out(limit), non_finite(limit))]
@@ -526,7 +525,7 @@ class TestBlockedLadder:
         grid = make_grid(3, rows - 1, 8.0, seed=rows)
         pts = grid.points
         runs = pexider_runs(cubic)
-        stops = [ref_iterate(op, phi0, grid).n_steps for op, phi0 in runs]
+        stops = [ref_iterate(lam, phi0, grid).n_steps for lam, phi0 in runs]
         want, got = collections.Counter(), collections.Counter()
         leaf_log(monkeypatch, want)
         # one level per step, each in a scope of its own

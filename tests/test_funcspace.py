@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orthostab import funcspace
-from orthostab.fixedpoint import ScalingOperator, iterate
+from orthostab.fixedpoint import iterate
 from orthostab.funcspace import (DEFAULT_CAP, INFINITE, EvaluationError,
                                  MapHandle, SampleGrid, evaluation_scope,
                                  even_part, hand_over, make_grid, map_scale,
@@ -266,13 +266,12 @@ class TestScaledPoints:
         leaf = MapHandle(counted(lambda p: 3.0 * p + 1e-3 * np.sin(p), log),
                          2, 2)
         grid = make_grid(2, 16, 4.0, seed=3)
-        op = ScalingOperator(0.5)
-        res = iterate(op, leaf, grid, tol=1e-5)
+        res = iterate(0.5, leaf, grid, tol=1e-5)
         n = res.n_steps
         assert n >= 2
 
-        maps = [even_part(leaf), odd_part(leaf), reference_apply(op, leaf),
-                reference_apply(op, even_part(leaf)), res.limit, res.limit]
+        maps = [even_part(leaf), odd_part(leaf), reference_apply(0.5, leaf),
+                reference_apply(0.5, even_part(leaf)), res.limit, res.limit]
 
         def measure():
             return ([m(grid.points) for m in maps]
@@ -418,12 +417,12 @@ class TestGrid:
 
     def test_origin_required(self):
         with pytest.raises(ValueError):
-            SampleGrid(np.ones((3, 2)), 0, 8.0)
+            SampleGrid(np.ones((3, 2)))
 
     def test_points_are_a_read_only_copy(self):
         raw = np.zeros((3, 2))
         raw[1:] = 1.0
-        grid = SampleGrid(raw, 0, 8.0)
+        grid = SampleGrid(raw)
         with pytest.raises(ValueError):
             grid.points[1, 0] = 5.0
         # the caller's own array stays writeable and apart

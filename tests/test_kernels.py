@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from orthostab import stability
-from orthostab.fixedpoint import ScalingOperator, iterate
+from orthostab.fixedpoint import iterate
 from orthostab.funcspace import (MapHandle, make_grid, map_sum,
                                  shift_to_zero, sup_norm)
 from orthostab.orthogonality import max_row_norm, row_sums
@@ -307,8 +307,7 @@ class TestLongAxisKernels:
                        make_bounded_noise(0.5, 3, dim, dim))
         for n in rows_for(dim, dim)[1:]:
             grid = make_grid(dim, n - 1, seed=n)
-            res = iterate(ScalingOperator(0.25), phi0, grid, tol=1e-300,
-                          n_max=4)
+            res = iterate(0.25, phi0, grid, tol=1e-300, n_max=4)
             assert len(res.raw_gaps) == 5
             for j, gap in enumerate(res.raw_gaps):
                 x = 2.0 ** j * grid.points

@@ -1,5 +1,6 @@
-"""Metamorphic relation: scaling the range scales the report, bit for bit.
+"""Metamorphic relations: the pipeline checked against itself.
 
+Relation 1, scaling the range scales the report, bit for bit.
 Multiply all four maps of a quadruple by c = 2^k with ``map_scale``, and
 the ladder's tol by c too.  A power of two commutes with every rounding
 while no value overflows or turns subnormal, and the pairs, the grid and
@@ -10,39 +11,69 @@ Coefficients, ratios and lam are dimensionless and stay; so do verdicts,
 step counts and labels.  ``config`` echoes the scaled tol and
 ``fingerprints`` hash the correctors' values, so neither is compared.
 
-The relation needs no second implementation of the pipeline: it checks
-the pipeline against itself (Chen, Cheung and Yiu, "Metamorphic testing:
+Relation 2, adding an exact solution moves the extracts by it.  Append
+the terms of a second, noise-free quadruple (P' + A', P' - A', 2P',
+2P' + 2A') to the four maps with ``map_sum``.  The equation is linear,
+so eps and every verdict stay, up to rounding, and R, R', S and S' move
+by A', -A', P' and P'.  Those moves are exact: each extract is
+2^-n m(2^n x) or 4^-n m(2^n x), and powers of two scale the solution's
+values without rounding.
+
+Neither relation needs a second implementation of the pipeline: each
+checks the pipeline against itself (Chen, Cheung and Yiu, "Metamorphic testing:
 a new approach for generating next test cases", HKUST-CS98-01, 1998).
 """
 
 import functools
 
+import numpy as np
 import pytest
 
 from orthostab import cli
-from orthostab.funcspace import map_scale
-from orthostab.orthogonality import symmetrize_relation
+from orthostab.funcspace import map_scale, map_sum, sup_distance
+from orthostab.orthogonality import (sample_orthogonal_pairs,
+                                     symmetrize_relation)
 from orthostab.perturb import compose_pexider_instance, random_ground_truth
-from orthostab.stability import PipelineConfig, run_main_theorem
+from orthostab.stability import (PipelineConfig, StabilityReport,
+                                 closure_pairs, run_main_theorem)
 
 EXPONENTS = (-40, -20, 7, 40)
 # floats that keep their value when the range scales
 DIMENSIONLESS = ("coefficient", "ratio", "lam")
+# the exact solution relation 2 adds: delta 0 leaves its maps noise-free
+SOLUTION = random_ground_truth(3, seed=5)
+# relation 2's bound on |eps' - eps|.  On the pair set every value the
+# residual adds is below 2^9 (350 at most), where an ulp is 2^-44.  A
+# residual coordinate takes some 30 roundings, each of at most half an
+# ulp: five-term sums for four maps, their leaves' products and three
+# differences.  A row's euclidean norm moves by at most sqrt(3) times
+# its largest coordinate's move.  So 32 ulps; the largest move seen on
+# these cases is 6.8e-14, 1.2 ulps
+EPS_MOVE = 32 * 2.0 ** -44
+
+
+def relation(name: str):
+    """A command's relation, polyhedral ones symmetrized as ``report``
+    symmetrizes them."""
+    rel = cli._build_relation(name)
+    return symmetrize_relation(rel) if rel.polyhedral else rel
 
 
 @functools.lru_cache(maxsize=None)
-def scaled_report(name: str, delta: float, k: int) -> dict:
-    """The report of a command's relation, polyhedral ones symmetrized as
-    ``report`` does, on a dim-3 quadruple whose maps and tol are scaled
-    by 2^k."""
-    rel = cli._build_relation(name)
-    if rel.polyhedral:
-        rel = symmetrize_relation(rel)
+def pipeline(name: str, delta: float, k: int = 0,
+             plus_solution: bool = False) -> StabilityReport:
+    """The report of a command's relation on a dim-3 quadruple whose maps
+    and tol are scaled by 2^k, with the terms of ``SOLUTION``'s maps
+    appended to its own when ``plus_solution`` is set."""
     c = 2.0 ** k
-    gt = random_ground_truth(3, delta=delta, seed=0)
-    maps = [map_scale(c, m) for m in compose_pexider_instance(gt)]
+    maps = compose_pexider_instance(random_ground_truth(3, delta=delta,
+                                                        seed=0))
+    if plus_solution:
+        maps = [map_sum(m, s, label=m.label)
+                for m, s in zip(maps, compose_pexider_instance(SOLUTION))]
+    maps = [map_scale(c, m) for m in maps]
     cfg = PipelineConfig(pair_count=64, grid_count=64, tol=c * 1e-10)
-    return run_main_theorem(rel, *maps, config=cfg).to_dict()
+    return run_main_theorem(relation(name), *maps, config=cfg)
 
 
 def leaves(tree, path=()):
@@ -61,8 +92,8 @@ def leaves(tree, path=()):
 @pytest.mark.parametrize("delta", [0.0, 0.01])
 @pytest.mark.parametrize("name", cli._RELATIONS)
 def test_range_scaling_scales_every_range_float(name, delta, k):
-    base = list(leaves(scaled_report(name, delta, 0)))
-    scaled = list(leaves(scaled_report(name, delta, k)))
+    base = list(leaves(pipeline(name, delta).to_dict()))
+    scaled = list(leaves(pipeline(name, delta, k).to_dict()))
     assert [path for path, _ in scaled] == [path for path, _ in base]
     scaled_floats = 0
     for (path, a), (_, b) in zip(base, scaled):
@@ -85,7 +116,37 @@ def test_range_scaling_scales_every_range_float(name, delta, k):
     "necessity_check's slack is an absolute 1e-9, the one report value "
     "that does not scale with the maps (ROADMAP item 5)"))
 def test_necessity_slack_scales():
-    base = scaled_report("inner", 0.01, 0)
-    scaled = scaled_report("inner", 0.01, -20)
+    base = pipeline("inner", 0.01).to_dict()
+    scaled = pipeline("inner", 0.01, -20).to_dict()
     assert (scaled["necessity"]["slack"]
             == 2.0 ** -20 * base["necessity"]["slack"])
+
+
+@pytest.mark.parametrize("delta", [0.0, 0.01])
+@pytest.mark.parametrize("name", cli._RELATIONS)
+def test_adding_an_exact_solution_moves_the_extracts_by_it(name, delta):
+    base = pipeline(name, delta)
+    moved = pipeline(name, delta, plus_solution=True)
+    assert [c.passed for c in moved.bounds] == [c.passed
+                                                 for c in base.bounds]
+    assert moved.passed == base.passed
+    assert ({n: (it["verdict"], it["n_steps"])
+             for n, it in moved.iterations.items()}
+            == {n: (it["verdict"], it["n_steps"])
+                for n, it in base.iterations.items()})
+    a, p = SOLUTION.additive_map(), SOLUTION.quadratic_map()
+    for part, move in (("R", a), ("R_prime", map_scale(-1.0, a)),
+                       ("S", p), ("S_prime", p)):
+        assert sup_distance(moved.components[part],
+                            map_sum(base.components[part], move),
+                            base.grid) == 0.0, part
+    # EPS_MOVE's premise: the values the residual adds stay below 2^9
+    cfg = PipelineConfig(pair_count=64, grid_count=64)
+    pairs = closure_pairs(sample_orthogonal_pairs(
+        relation(name), 3, cfg.pair_count, radius=cfg.radius,
+        seed=cfg.seed), base.grid)
+    x, y = pairs[:, 0], pairs[:, 1]
+    f, g, h, k = (moved.components[m] for m in ("F", "G", "H", "K"))
+    assert max(np.abs(v).max() for v in (f(x + y), g(x - y), h(x), k(y))) \
+        < 2.0 ** 9
+    assert abs(moved.eps_hat - base.eps_hat) <= EPS_MOVE

@@ -15,8 +15,7 @@ from hypothesis import strategies as st
 
 from orthostab import cli
 from orthostab.orthogonality import (DEFAULT_TOL, DimensionMismatchError,
-                                     NormSpec, OrthoRelation,
-                                     PairGenerationError,
+                                     OrthoRelation, PairGenerationError,
                                      ThalesianNotFoundError, _bj_margins,
                                      birkhoff_james_relation, bj_margin,
                                      check_axioms,
@@ -27,27 +26,27 @@ from orthostab.orthogonality import (DEFAULT_TOL, DimensionMismatchError,
                                      trivial_relation, unit_perp)
 
 
-def margin_oracle(spec, x, y, n=20001, rounds=4):
+def margin_oracle(norm, x, y, n=20001, rounds=4):
     """Dense-scan minimum of ||x + t*y|| - ||x||, no golden section.
 
     Independent of the production search: pure grid refinement.
     """
     x = np.asarray(x, float)
     y = np.asarray(y, float)
-    nx = norm_eval(spec, x)
-    ny = norm_eval(spec, y)
+    nx = norm_eval(norm, x)
+    ny = norm_eval(norm, y)
     if nx == 0.0 or ny == 0.0:
         return 0.0
     lo, hi = -2.0 * nx / ny, 2.0 * nx / ny
     best_t = 0.0
     for _ in range(rounds):
         ts = np.linspace(lo, hi, n)
-        vals = norm_eval(spec, x[None, :] + ts[:, None] * y[None, :])
+        vals = norm_eval(norm, x[None, :] + ts[:, None] * y[None, :])
         i = int(np.argmin(vals))
         best_t = ts[i]
         span = (hi - lo) / (n - 1)
         lo, hi = best_t - 2 * span, best_t + 2 * span
-    val = norm_eval(spec, x + best_t * y)
+    val = norm_eval(norm, x + best_t * y)
     return min(val - nx, 0.0)
 
 
@@ -58,55 +57,57 @@ _coord = st.one_of(st.integers(-3, 3).map(float), st.floats(0.001, 4.0),
 _vec_pair = st.integers(2, 5).flatmap(
     lambda d: st.tuples(st.lists(_coord, min_size=d, max_size=d),
                         st.lists(_coord, min_size=d, max_size=d)))
-_kinds = st.sampled_from(["euclidean", "l1", "linf"])
+_norms = st.sampled_from(["euclidean", "l1", "linf"])
 
 
 class TestNorms:
     def test_frozen_values(self):
-        assert norm_eval(NormSpec.euclidean(), [3.0, 4.0]) == 5.0
-        assert norm_eval(NormSpec.linf(), [1.0, -2.0]) == 2.0
-        assert norm_eval(NormSpec.l1(), [1.0, 2.0]) == 3.0
+        assert norm_eval("euclidean", [3.0, 4.0]) == 5.0
+        assert norm_eval("linf", [1.0, -2.0]) == 2.0
+        assert norm_eval("l1", [1.0, 2.0]) == 3.0
 
     def test_batch_shape(self):
-        out = norm_eval(NormSpec.l1(), np.ones((5, 4, 3)))
+        out = norm_eval("l1", np.ones((5, 4, 3)))
         assert out.shape == (5, 4)
         assert np.all(out == 3.0)
 
     def test_invalid(self):
-        for kind in ("l3", "weighted"):
-            with pytest.raises(ValueError):
-                NormSpec(kind)
+        x, y = [1.0, 2.0], [2.0, -1.0]
+        for name in ("l3", "weighted"):
+            for build in (lambda: norm_eval(name, x),
+                          lambda: bj_margin(name, x, y),
+                          lambda: OrthoRelation("birkhoff_james", name),
+                          lambda: birkhoff_james_relation(name)):
+                with pytest.raises(ValueError):
+                    build()
 
 
 class TestMargin:
     def test_frozen_values(self):
-        e2 = NormSpec.euclidean()
-        assert bj_margin(e2, [1.0, 0.0], [0.0, 1.0]) == 0.0
-        assert abs(bj_margin(NormSpec.l1(), [1.0, 2.0], [1.0, 0.0])
+        assert bj_margin("euclidean", [1.0, 0.0], [0.0, 1.0]) == 0.0
+        assert abs(bj_margin("l1", [1.0, 2.0], [1.0, 0.0]) + 1.0) < 1e-9
+        assert abs(bj_margin("euclidean", [1.0, 0.0], [1.0, 0.0])
                    + 1.0) < 1e-9
-        assert abs(bj_margin(e2, [1.0, 0.0], [1.0, 0.0]) + 1.0) < 1e-9
 
     def test_zero_conventions(self):
-        e2 = NormSpec.euclidean()
-        assert bj_margin(e2, [0.0, 0.0], [1.0, 2.0]) == 0.0
-        assert bj_margin(e2, [1.0, 2.0], [0.0, 0.0]) == 0.0
+        assert bj_margin("euclidean", [0.0, 0.0], [1.0, 2.0]) == 0.0
+        assert bj_margin("euclidean", [1.0, 2.0], [0.0, 0.0]) == 0.0
 
     def test_never_positive(self):
         rng = np.random.default_rng(5)
-        for spec in (NormSpec.euclidean(), NormSpec.l1(), NormSpec.linf()):
+        for norm in ("euclidean", "l1", "linf"):
             for _ in range(20):
                 x, y = rng.normal(size=(2, 3)) * 4.0
-                assert bj_margin(spec, x, y) <= 0.0
+                assert bj_margin(norm, x, y) <= 0.0
 
-    @pytest.mark.parametrize("spec", [NormSpec.euclidean(), NormSpec.l1(),
-                                      NormSpec.linf()])
-    def test_against_dense_oracle(self, spec):
+    @pytest.mark.parametrize("norm", ["euclidean", "l1", "linf"])
+    def test_against_dense_oracle(self, norm):
         rng = np.random.default_rng(17)
         for _ in range(12):
             x = rng.normal(size=3) * rng.uniform(0.3, 6.0)
             y = rng.normal(size=3) * rng.uniform(0.3, 6.0)
-            got = bj_margin(spec, x, y)
-            want = margin_oracle(spec, x, y)
+            got = bj_margin(norm, x, y)
+            want = margin_oracle(norm, x, y)
             assert got == pytest.approx(want, abs=1e-7)
 
     @settings(max_examples=25, deadline=None)
@@ -117,9 +118,8 @@ class TestMargin:
         x, y = rng.normal(size=(2, 3)) * 3.0
         if np.linalg.norm(y) < 1e-6 or np.linalg.norm(x) < 1e-6:
             return
-        spec = NormSpec.l1()
-        assert bj_margin(spec, x, beta * y) == pytest.approx(
-            bj_margin(spec, x, y), abs=1e-8 * (1 + np.linalg.norm(x)))
+        assert bj_margin("l1", x, beta * y) == pytest.approx(
+            bj_margin("l1", x, y), abs=1e-8 * (1 + np.linalg.norm(x)))
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 10 ** 6),
@@ -129,45 +129,41 @@ class TestMargin:
         x, y = rng.normal(size=(2, 3)) * 3.0
         if np.linalg.norm(y) < 1e-6 or np.linalg.norm(x) < 1e-6:
             return
-        spec = NormSpec.linf()
-        assert bj_margin(spec, alpha * x, y) == pytest.approx(
-            alpha * bj_margin(spec, x, y),
+        assert bj_margin("linf", alpha * x, y) == pytest.approx(
+            alpha * bj_margin("linf", x, y),
             abs=1e-8 * (1 + alpha * np.linalg.norm(x)))
 
     @settings(max_examples=150, deadline=None)
-    @given(kind=_kinds, xy=_vec_pair,
+    @given(norm=_norms, xy=_vec_pair,
            exponent=st.sampled_from([-100, 0, 100]))
-    def test_exact_margin_below_dense_oracle(self, kind, xy, exponent):
+    def test_exact_margin_below_dense_oracle(self, norm, xy, exponent):
         x, y = (np.array(v) * 10.0 ** exponent for v in xy)
-        spec = NormSpec(kind)
-        got = bj_margin(spec, x, y)
+        got = bj_margin(norm, x, y)
         assert got <= 0.0
-        assert got <= margin_oracle(spec, x, y) + 1e-12 * norm_eval(spec, x)
+        assert got <= margin_oracle(norm, x, y) + 1e-12 * norm_eval(norm, x)
 
     @settings(max_examples=60, deadline=None)
-    @given(kind=_kinds, xy=_vec_pair, ex=st.sampled_from([-100, 0, 100]),
+    @given(norm=_norms, xy=_vec_pair, ex=st.sampled_from([-100, 0, 100]),
            ey=st.sampled_from([-100, 0, 100]))
-    def test_margin_scales_with_x_only(self, kind, xy, ex, ey):
+    def test_margin_scales_with_x_only(self, norm, xy, ex, ey):
         x, y = (np.array(v) for v in xy)
-        spec = NormSpec(kind)
-        want = 10.0 ** ex * bj_margin(spec, x, y)
-        got = bj_margin(spec, 10.0 ** ex * x, 10.0 ** ey * y)
+        want = 10.0 ** ex * bj_margin(norm, x, y)
+        got = bj_margin(norm, 10.0 ** ex * x, 10.0 ** ey * y)
         assert got == pytest.approx(
-            want, rel=1e-12, abs=1e-12 * 10.0 ** ex * norm_eval(spec, x))
+            want, rel=1e-12, abs=1e-12 * 10.0 ** ex * norm_eval(norm, x))
 
     @settings(max_examples=60, deadline=None)
-    @given(kind=_kinds, xy=_vec_pair, c=st.floats(-50.0, 50.0),
+    @given(norm=_norms, xy=_vec_pair, c=st.floats(-50.0, 50.0),
            exponent=st.sampled_from([-100, 0, 100]))
-    def test_parallel_y_collapses_x(self, kind, xy, c, exponent):
+    def test_parallel_y_collapses_x(self, norm, xy, c, exponent):
         x = np.array(xy[0]) * 10.0 ** exponent
         if not x.any() or abs(c) < 1e-3:
             return
-        spec = NormSpec(kind)
-        assert bj_margin(spec, x, c * x) == pytest.approx(
-            -norm_eval(spec, x), rel=1e-12)
+        assert bj_margin(norm, x, c * x) == pytest.approx(
+            -norm_eval(norm, x), rel=1e-12)
 
-    @pytest.mark.parametrize("kind", ["euclidean", "l1", "linf"])
-    def test_batch_matches_rows(self, kind):
+    @pytest.mark.parametrize("norm", ["euclidean", "l1", "linf"])
+    def test_batch_matches_rows(self, norm):
         rng = np.random.default_rng(23)
         xs = rng.normal(size=(64, 4)) * rng.uniform(0.1, 9.0, size=(64, 1))
         ys = rng.normal(size=(64, 4))
@@ -176,10 +172,9 @@ class TestMargin:
         xs[::7, 0] = xs[::7, 3]
         ys[::11] = 2.0 * xs[::11]
         ys[::13] = 0.0
-        spec = NormSpec(kind)
-        batch = _bj_margins(spec, xs, ys)
+        batch = _bj_margins(norm, xs, ys)
         assert batch.shape == (64,)
-        assert batch.tolist() == [bj_margin(spec, x, y)
+        assert batch.tolist() == [bj_margin(norm, x, y)
                                   for x, y in zip(xs, ys)]
 
 
@@ -197,12 +192,12 @@ class TestPredicates:
 
     def test_bj_l1_asymmetry(self):
         """The frozen counterexample: order matters away from l2."""
-        rel = birkhoff_james_relation(NormSpec.l1())
+        rel = birkhoff_james_relation("l1")
         assert is_orthogonal(rel, [1.0, 0.0], [1.0, 2.0])
         assert not is_orthogonal(rel, [1.0, 2.0], [1.0, 0.0])
 
     def test_symmetrized_closure(self):
-        rel = symmetrize_relation(birkhoff_james_relation(NormSpec.l1()))
+        rel = symmetrize_relation(birkhoff_james_relation("l1"))
         assert rel.symmetrized and rel.is_symmetric
         assert is_orthogonal(rel, [1.0, 2.0], [1.0, 0.0])
         assert is_orthogonal(rel, [1.0, 0.0], [1.0, 2.0])
@@ -225,7 +220,7 @@ class TestPredicates:
         assert sym.polyhedral is polyhedral and sym.is_symmetric
 
     def test_bj_euclidean_matches_inner(self):
-        rel_bj = birkhoff_james_relation(NormSpec.euclidean(), tol=1e-9)
+        rel_bj = birkhoff_james_relation("euclidean", tol=1e-9)
         rel_ip = inner_product_relation(tol=1e-9)
         rng = np.random.default_rng(123)
         for _ in range(200):
@@ -322,7 +317,7 @@ class TestThalesian:
                     np.linalg.norm(lam * x - y0), 1.0))
 
     def test_l1_search(self):
-        rel = birkhoff_james_relation(NormSpec.l1())
+        rel = birkhoff_james_relation("l1")
         rng = np.random.default_rng(17)
         for _ in range(6):
             x = rng.normal(size=3)
@@ -515,7 +510,7 @@ class TestAxioms:
         assert report.symmetric
 
     def test_l1_passes_but_asymmetric(self):
-        rel = birkhoff_james_relation(NormSpec.l1())
+        rel = birkhoff_james_relation("l1")
         report = check_axioms(rel, 3, n_samples=16, seed=0)
         assert report.passed
         assert not report.symmetric
@@ -551,7 +546,7 @@ class TestPairSampling:
             assert is_orthogonal(rel, x, y)
 
     def test_l1_pairs(self):
-        rel = birkhoff_james_relation(NormSpec.l1())
+        rel = birkhoff_james_relation("l1")
         pairs = sample_orthogonal_pairs(rel, 3, 12, seed=4)
         for x, y in pairs:
             assert is_orthogonal(rel, x, y)
@@ -580,6 +575,5 @@ class TestDescriptor:
         if closed:
             rel = symmetrize_relation(rel)
         d = json.loads(json.dumps(relation_descriptor(rel)))
-        norm = NormSpec(d.get("norm", "euclidean"))
-        assert OrthoRelation(d["kind"], norm, d["tol"],
+        assert OrthoRelation(d["kind"], d.get("norm", "euclidean"), d["tol"],
                              d["symmetrized"]) == rel
